@@ -1,17 +1,18 @@
 (* The router process. Data path of a routed score request:
 
-     handler thread: read frame → deadline admission (remaining budget
-       after queue time, shed with `expired` if overdrawn) → routing
-       key from (model, dataset[, id blocks]) → owner shard(s) via the
-       ring
+     Listener handler thread: read frame → deadline admission
+       (remaining budget after queue time, shed with `expired` if
+       overdrawn) → routing key from (model, dataset[, id blocks]) →
+       owner shard(s) via the ring
      forward: per-shard cached connection (kept alive across
        requests), circuit breaker per shard, failover to the next
        distinct shard in ring order on transport failure; optionally a
        hedged second attempt to the next successor after the p95 delay
      scatter-gather: an id-set spanning shards is split per owner,
-       scored per shard, and reassembled in original id order —
-       bitwise-identical to a single server because per-row
-       predictions are batch-invariant
+       the pieces are scored one after another — every piece after the
+       first names the model version the first one resolved — and
+       reassembled in original id order, bitwise-identical to a single
+       server because per-row predictions are batch-invariant
 
    Control plane: a prober thread issues periodic health calls per
    shard and maintains dynamic membership — consecutive probe failures
@@ -22,7 +23,8 @@
 
    The router runs no LA kernels and touches no model or dataset
    state, so handler threads are fully independent; each owns its
-   per-shard connection cache. *)
+   per-shard connection cache (the Listener handler's per-thread
+   state). *)
 
 open Morpheus_serve
 
@@ -103,11 +105,7 @@ type t = {
   mem_m : Analysis.Sync.t;  (* guards ring + mutable member fields *)
   mutable ring : Ring.t;
   limiter : Limiter.t option;
-  listen_fd : Unix.file_descr;
-  bound : Endpoint.t;
-  conns : Unix.file_descr Queue.t;
-  conn_m : Analysis.Sync.t;
-  conn_cv : Analysis.Sync.cond;
+  listener : Listener.t;
   (* cluster counters *)
   state_m : Analysis.Sync.t;
   mutable forwarded : int;  (* requests sent whole to one shard *)
@@ -120,10 +118,7 @@ type t = {
   mutable expired : int;  (* requests shed at admission, deadline overdrawn *)
   per_shard_forwards : (string, int) Hashtbl.t;
   per_shard_errors : (string, int) Hashtbl.t;
-  stop_m : Analysis.Sync.t;
-  stop_cv : Analysis.Sync.cond;
-  mutable stopping : bool;
-  mutable threads : Thread.t list;
+  mutable prober_thread : Thread.t option;
   started : float;
 }
 
@@ -283,9 +278,17 @@ let hedge_delay t = Float.max 1e-3 (Metrics.quantile t.metrics 0.95)
    runs on its own thread over a private connection; if it is still
    out after the hedge delay and the owner's token budget allows, a
    second identical request goes to the next ring successor and the
-   first answer wins. The loser is cancelled by closing its
-   connection. Responses stay bitwise-identical to a single server
-   because both shards compute identical predictions. *)
+   first answer wins. Responses stay bitwise-identical to a single
+   server because both shards compute identical predictions.
+
+   A side's connection belongs to its own thread until that side has
+   answered: closing it from another thread while a read is blocked on
+   it would free the descriptor number for reuse under that read. So
+   cancelling the loser only marks it, and the connection is closed by
+   whichever comes second — the loser answering, or the cancel. A
+   loser that has not connected yet never sends; without that, its
+   connection would stay open and idle and pin one of the shard's
+   handler threads for good. *)
 let forward_hedged t cache order request =
   let hedgeable =
     t.cfg.hedge
@@ -306,36 +309,64 @@ let forward_hedged t cache order request =
       Hashtbl.create 2
     in
     let conns = Hashtbl.create 2 in
+    let cancelled = Hashtbl.create 2 in
+    (* under [hm]: remove a side's connection for the caller to close
+       or adopt *)
+    let take side =
+      let c = Hashtbl.find_opt conns side in
+      Hashtbl.remove conns side ;
+      c
+    in
+    let cancel side =
+      Analysis.Sync.lock hm ;
+      Hashtbl.replace cancelled side () ;
+      let c = if Hashtbl.mem results side then take side else None in
+      Analysis.Sync.unlock hm ;
+      Option.iter Client.close c
+    in
+    let attempt side shard =
+      match Client.connect ~socket:(Endpoint.to_string (endpoint_of t shard)) with
+      | exception Unix.Unix_error (e, _, _) ->
+        Some (Error ("transport", Unix.error_message e))
+      | exception Fault.Injected p -> Some (Error ("transport", "injected fault at " ^ p))
+      | c ->
+        Analysis.Sync.lock hm ;
+        let live = not (Hashtbl.mem cancelled side) in
+        if live then Hashtbl.replace conns side c ;
+        Analysis.Sync.unlock hm ;
+        if live then begin
+          Metrics.record_conn_fresh t.metrics ;
+          Some (Client.call c request)
+        end
+        else begin
+          Client.close c ;
+          None
+        end
+    in
     let spawn side shard =
       ignore
         (Thread.create
            (fun () ->
-             let outcome =
-               match
-                 Client.connect ~socket:(Endpoint.to_string (endpoint_of t shard))
-               with
-               | exception Unix.Unix_error (e, _, _) ->
-                 Error ("transport", Unix.error_message e)
-               | exception Fault.Injected p ->
-                 Error ("transport", "injected fault at " ^ p)
-               | c ->
-                 Analysis.Sync.lock hm ;
-                 Hashtbl.replace conns side c ;
-                 Analysis.Sync.unlock hm ;
-                 Metrics.record_conn_fresh t.metrics ;
-                 Client.call c request
-             in
-             (if is_transport outcome then begin
-                Breaker.failure (breaker t shard) ;
-                note_shard_error t shard
-              end
-              else begin
-                Breaker.success (breaker t shard) ;
-                note_shard_forward t shard
-              end) ;
-             Analysis.Sync.lock hm ;
-             Hashtbl.replace results side outcome ;
-             Analysis.Sync.unlock hm)
+             match attempt side shard with
+             | None -> () (* the race was decided before this side connected *)
+             | Some outcome ->
+               if is_transport outcome then begin
+                 Breaker.failure (breaker t shard) ;
+                 note_shard_error t shard
+               end
+               else begin
+                 Breaker.success (breaker t shard) ;
+                 note_shard_forward t shard
+               end ;
+               Analysis.Sync.lock hm ;
+               Hashtbl.replace results side outcome ;
+               (* a failed stream may be desynchronized: never reuse it *)
+               let c =
+                 if Hashtbl.mem cancelled side || is_transport outcome then take side
+                 else None
+               in
+               Analysis.Sync.unlock hm ;
+               Option.iter Client.close c)
            ())
     in
     let get side =
@@ -344,18 +375,11 @@ let forward_hedged t cache order request =
       Analysis.Sync.unlock hm ;
       r
     in
-    let close_side side =
-      Analysis.Sync.lock hm ;
-      (match Hashtbl.find_opt conns side with
-      | Some c -> Client.close c
-      | None -> ()) ;
-      Analysis.Sync.unlock hm
-    in
     (* a completed side's connection is private and healthy: adopt it
        into the handler cache for reuse (unless one is already there) *)
     let adopt side shard =
       Analysis.Sync.lock hm ;
-      let c = Hashtbl.find_opt conns side in
+      let c = take side in
       Analysis.Sync.unlock hm ;
       match c with
       | Some c when not (Hashtbl.mem cache shard) -> Hashtbl.replace cache shard c
@@ -406,12 +430,12 @@ let forward_hedged t cache order request =
           let p = get `Primary and h = get `Hedge in
           match (p, h) with
           | Some r, _ when not (is_transport r) ->
-            close_side `Hedge ;
+            cancel `Hedge ;
             adopt `Primary owner ;
             r
           | _, Some r when not (is_transport r) ->
             count t (fun () -> t.hedge_wins <- t.hedge_wins + 1) ;
-            close_side `Primary ;
+            cancel `Primary ;
             adopt `Hedge next ;
             r
           | Some _, Some _ ->
@@ -443,10 +467,13 @@ let block_key t ~model ~dataset id =
   Printf.sprintf "%s#%d" (score_key ~model ~dataset) (id / t.cfg.block)
 
 (* Split ids by owning shard (original order preserved within each
-   piece), score each piece on its owner, reassemble the predictions
-   into the original positions. Any failing piece fails the whole
-   request with that piece's error — matching a single server, which
-   also answers a whole score request with one error. *)
+   piece), score the pieces one after another on their owners, and
+   reassemble the predictions into the original positions. The first
+   piece to answer pins the model version: the rest name the id it
+   resolved, so a publish between pieces cannot mix two versions
+   into one response. Any failing piece fails the whole request with
+   that piece's error — matching a single server, which also answers
+   a whole score request with one error. *)
 let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
   let ring = ring_now t in
   let owners = Array.map (fun id -> Ring.lookup ring (block_key t ~model ~dataset id)) ids in
@@ -476,7 +503,7 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
         t.scattered <- t.scattered + 1 ;
         t.subrequests <- t.subrequests + List.length groups) ;
     let preds = Array.make (Array.length ids) 0.0 in
-    let model_id = ref "" in
+    let model_id = ref None in
     let failed = ref None in
     List.iter
       (fun (owner, positions) ->
@@ -490,16 +517,15 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
           match
             forward_hedged t cache order
               (Protocol.Score
-                 { model;
+                 { model = Option.value !model_id ~default:model;
                    target = Protocol.Dataset { dataset; ids = sub_ids };
                    deadline_ms
                  })
           with
           | Error (code, message) -> failed := Some (code, message)
           | Ok j -> (
-            (match Option.bind (Json.member "model" j) Json.to_str with
-            | Some id -> model_id := id
-            | None -> ()) ;
+            if !model_id = None then
+              model_id := Option.bind (Json.member "model" j) Json.to_str ;
             match Option.bind (Json.member "predictions" j) Json.float_list with
             | Some ps when List.length ps = Array.length sub_ids ->
               List.iteri (fun k p -> preds.(List.nth positions k) <- p) ps
@@ -513,7 +539,7 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
       Protocol.error ~code ~message
     | None ->
       Protocol.ok
-        [ ("model", Json.Str !model_id);
+        [ ("model", Json.Str (Option.value !model_id ~default:""));
           ( "predictions",
             Json.Arr (Array.to_list preds |> List.map (fun x -> Json.Num x)) )
         ])
@@ -601,11 +627,12 @@ let probe_member t m =
   note_probe t m outcome
 
 let prober t =
+  let stopping () = Listener.stopping t.listener in
   (* stop-aware sleep in 50ms quanta so shutdown never waits a full
      probe interval *)
   let sleep dt =
     let rec go dt =
-      if t.stopping || dt <= 0.0 then ()
+      if stopping () || dt <= 0.0 then ()
       else begin
         Thread.delay (Float.min 0.05 dt) ;
         go (dt -. 0.05)
@@ -614,9 +641,9 @@ let prober t =
     go dt
   in
   let rec loop () =
-    if t.stopping then ()
+    if stopping () then ()
     else begin
-      List.iter (fun (_, m) -> if not t.stopping then probe_member t m) t.members ;
+      List.iter (fun (_, m) -> if not (stopping ()) then probe_member t m) t.members ;
       sleep t.cfg.probe_interval ;
       loop ()
     end
@@ -783,14 +810,7 @@ let stats t = stats_payload t
 
 (* ---- request handling ---- *)
 
-let signal_stop t =
-  Analysis.Sync.lock t.stop_m ;
-  t.stopping <- true ;
-  Analysis.Sync.broadcast t.stop_cv ;
-  Analysis.Sync.unlock t.stop_m ;
-  Analysis.Sync.lock t.conn_m ;
-  Analysis.Sync.broadcast t.conn_cv ;
-  Analysis.Sync.unlock t.conn_m
+let request_stop t = Listener.request_stop t.listener
 
 (* Deadline-aware admission: decrement the client's budget by the time
    the frame spent between arrival and dispatch (queue wait + parse +
@@ -820,26 +840,8 @@ let admit t ~arrived req =
   | req -> Ok req
 
 let with_limiter t f =
-  match t.limiter with
-  | None -> f ()
-  | Some lim ->
-    if not (Limiter.try_acquire lim) then begin
-      Metrics.record_limited t.metrics ;
-      Metrics.record_error t.metrics ~code:"overloaded" ;
-      Protocol.error ~code:"overloaded"
-        ~message:"concurrency limit reached at router, request shed"
-    end
-    else begin
-      let t0 = now () in
-      match f () with
-      | resp ->
-        let ok = Result.is_ok (Protocol.response_result resp) in
-        Limiter.release lim ~latency:(now () -. t0) ~ok ;
-        resp
-      | exception e ->
-        Limiter.release lim ~latency:(now () -. t0) ~ok:false ;
-        raise e
-    end
+  Limiter.admit t.limiter ~metrics:t.metrics
+    ~shed_message:"concurrency limit reached at router, request shed" f
 
 let handle_drain t shard =
   match List.assoc_opt shard t.members with
@@ -895,7 +897,7 @@ let handle_request t cache ~arrived req =
       Protocol.ok [ ("pong", Json.Bool true) ]
     | Protocol.Shutdown ->
       Metrics.record t.metrics ~op:"shutdown" ~seconds:0.0 ;
-      signal_stop t ;
+      request_stop t ;
       Protocol.ok [ ("stopping", Json.Bool true) ]
     | Protocol.Stats ->
       timed "stats" (fun () ->
@@ -931,139 +933,16 @@ let handle_request t cache ~arrived req =
           with_limiter t (fun () ->
               scatter_score t cache ~model ~dataset ~ids ~deadline_ms)))
 
-(* ---- connection plumbing (stop-aware, mirrors Server) ---- *)
-
-type reader = { fd : Unix.file_descr; rbuf : Buffer.t; chunk : Bytes.t }
-
-let reader fd = { fd; rbuf = Buffer.create 512; chunk = Bytes.create 4096 }
-
-let max_frame = 1 lsl 20
-
-type frame = Frame of string | Eof | Oversized
-
-let rec read_frame t r =
-  let contents = Buffer.contents r.rbuf in
-  match String.index_opt contents '\n' with
-  | Some i ->
-    let line = String.sub contents 0 i in
-    Buffer.clear r.rbuf ;
-    Buffer.add_string r.rbuf
-      (String.sub contents (i + 1) (String.length contents - i - 1)) ;
-    if String.length line > max_frame then Oversized else Frame line
-  | None ->
-    if Buffer.length r.rbuf > max_frame then Oversized
-    else if t.stopping then Eof
-    else begin
-      match Unix.select [ r.fd ] [] [] 0.1 with
-      | [], _, _ -> read_frame t r
-      | _ -> (
-        match Endpoint.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-        | 0 -> Eof
-        | n ->
-          Buffer.add_subbytes r.rbuf r.chunk 0 n ;
-          read_frame t r
-        | exception Unix.Unix_error ((EBADF | ECONNRESET | EPIPE), _, _) -> Eof
-        | exception Fault.Injected _ -> Eof)
-      | exception Unix.Unix_error (EBADF, _, _) -> Eof
-    end
-
-let write_frame t fd json =
-  let line = Json.to_string json ^ "\n" in
-  try
-    Endpoint.write_all fd line ;
-    true
-  with
-  | Unix.Unix_error _ ->
-    Metrics.record_write_error t.metrics ;
-    false
-  | Fault.Injected _ ->
-    Metrics.record_write_error t.metrics ;
-    false
-
-let serve_connection t cache fd =
-  let r = reader fd in
-  let rec loop () =
-    match read_frame t r with
-    | Eof -> ()
-    | Oversized ->
-      Metrics.record_error t.metrics ~code:"bad_request" ;
-      ignore
-        (write_frame t fd
-           (Protocol.error ~code:"bad_request"
-              ~message:
-                (Printf.sprintf "frame too large (limit %d bytes)" max_frame)))
-    | Frame line ->
-      (* the admission clock starts the moment the frame is complete *)
-      let arrived = now () in
-      let response =
-        match Json.of_string line with
-        | Error msg ->
-          Metrics.record_error t.metrics ~code:"bad_request" ;
-          Protocol.error ~code:"bad_request" ~message:msg
-        | Ok j -> (
-          match Protocol.request_of_json j with
-          | Error msg ->
-            Metrics.record_error t.metrics ~code:"bad_request" ;
-            Protocol.error ~code:"bad_request" ~message:msg
-          | Ok req -> (
-            match handle_request t cache ~arrived req with
-            | response -> response
-            | exception e ->
-              Metrics.record_error t.metrics ~code:"internal" ;
-              Protocol.error ~code:"internal" ~message:(Printexc.to_string e)))
-      in
-      if write_frame t fd response then loop ()
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Fault.point "router.handler" ;
-      loop ())
-
-let accept_loop t =
-  let rec loop () =
-    if t.stopping then ()
-    else begin
-      match Unix.select [ t.listen_fd ] [] [] 0.1 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Endpoint.accept t.listen_fd with
-        | fd, _ ->
-          Analysis.Sync.lock t.conn_m ;
-          Queue.push fd t.conns ;
-          Analysis.Sync.signal t.conn_cv ;
-          Analysis.Sync.unlock t.conn_m ;
-          loop ()
-        | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
-        | exception Unix.Unix_error _ -> loop ()
-        | exception Fault.Injected _ -> loop ())
-      | exception Unix.Unix_error _ -> ()
-    end
-  in
-  loop ()
-
-(* Handler threads survive anything a connection throws (including the
-   router.handler fault point): the cache is rebuilt lazily, the
-   thread goes back for the next connection. *)
-let handler_loop t =
+(* One per Listener handler thread: the shard-connection cache lives
+   as long as the thread (or until a crash replaces the handler). *)
+let handler t () =
   let cache : cache = Hashtbl.create 8 in
-  let rec loop () =
-    Analysis.Sync.lock t.conn_m ;
-    while Queue.is_empty t.conns && not t.stopping do
-      Analysis.Sync.wait t.conn_cv t.conn_m
-    done ;
-    let fd = if Queue.is_empty t.conns then None else Some (Queue.pop t.conns) in
-    Analysis.Sync.unlock t.conn_m ;
-    match fd with
-    | Some fd ->
-      (try serve_connection t cache fd
-       with _ ->
-         Hashtbl.iter (fun _ c -> Client.close c) cache ;
-         Hashtbl.reset cache) ;
-      loop ()
-    | None -> Hashtbl.iter (fun _ c -> Client.close c) cache
-  in
-  loop ()
+  { Listener.handle = handle_request t cache;
+    close =
+      (fun () ->
+        Hashtbl.iter (fun _ c -> Client.close c) cache ;
+        Hashtbl.reset cache)
+  }
 
 (* ---- lifecycle ---- *)
 
@@ -1074,13 +953,12 @@ let start cfg =
   if cfg.eject_after < 1 then invalid_arg "Router.start: eject_after < 1" ;
   if cfg.rejoin_after < 1 then invalid_arg "Router.start: rejoin_after < 1" ;
   if cfg.probe_timeout <= 0.0 then invalid_arg "Router.start: probe_timeout <= 0" ;
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()) ;
-  let ep = Endpoint.of_string cfg.listen in
-  let listen_fd = Endpoint.listen ep in
+  let metrics = Metrics.create () in
+  let listener = Listener.create ~name:"router" ~metrics cfg.listen in
   let started = now () in
   let t =
     { cfg;
-      metrics = Metrics.create ();
+      metrics;
       members =
         List.map
           (fun (n, e) ->
@@ -1111,11 +989,7 @@ let start cfg =
         Option.map
           (fun ms -> Limiter.create ~target:(ms /. 1e3) ())
           cfg.limiter_target_ms;
-      listen_fd;
-      bound = Endpoint.bound_endpoint ep listen_fd;
-      conns = Queue.create ();
-      conn_m = Analysis.Sync.create ~name:"cluster.router.conns" ();
-      conn_cv = Analysis.Sync.condition ();
+      listener;
       state_m = Analysis.Sync.create ~name:"cluster.router.state" ();
       forwarded = 0;
       scattered = 0;
@@ -1127,48 +1001,23 @@ let start cfg =
       expired = 0;
       per_shard_forwards = Hashtbl.create 8;
       per_shard_errors = Hashtbl.create 8;
-      stop_m = Analysis.Sync.create ~name:"cluster.router.stop" ();
-      stop_cv = Analysis.Sync.condition ();
-      stopping = false;
-      threads = [];
+      prober_thread = None;
       started
     }
   in
-  let accept_t = Thread.create accept_loop t in
-  let handler_ts =
-    List.init cfg.handlers (fun _ -> Thread.create handler_loop t)
-  in
-  let control_ts =
-    if cfg.probe_interval > 0.0 then [ Thread.create prober t ] else []
-  in
-  t.threads <- (accept_t :: handler_ts) @ control_ts ;
+  Listener.start listener ~handlers:cfg.handlers (handler t) ;
+  if cfg.probe_interval > 0.0 then t.prober_thread <- Some (Thread.create prober t) ;
   t
 
-let endpoint t = t.bound
+let endpoint t = Listener.endpoint t.listener
 let metrics t = t.metrics
-let request_stop t = signal_stop t
-
-let wait t =
-  Analysis.Sync.lock t.stop_m ;
-  while not t.stopping do
-    Analysis.Sync.wait t.stop_cv t.stop_m
-  done ;
-  Analysis.Sync.unlock t.stop_m
+let wait t = Listener.wait t.listener
 
 let stop t =
   request_stop t ;
-  List.iter Thread.join t.threads ;
-  t.threads <- [] ;
-  Queue.iter
-    (fun fd ->
-      ignore
-        (write_frame t fd
-           (Protocol.error ~code:"rejected" ~message:"router shutting down")) ;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    t.conns ;
-  Queue.clear t.conns ;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ()) ;
-  Endpoint.cleanup t.bound
+  Option.iter Thread.join t.prober_thread ;
+  t.prober_thread <- None ;
+  Listener.stop t.listener
 
 let cluster_summary t =
   count t (fun () ->
@@ -1186,7 +1035,7 @@ let run cfg =
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_signal) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal) in
   Fmt.pr "morpheus route: listening on %s over %d shards (%d handlers, %d vnodes)@."
-    (Endpoint.to_string t.bound)
+    (Endpoint.to_string (endpoint t))
     (List.length cfg.shards) cfg.handlers cfg.vnodes ;
   List.iter (fun (n, e) -> Fmt.pr "morpheus route:   shard %s at %s@." n e) cfg.shards ;
   wait t ;

@@ -5,8 +5,11 @@
     Placement is consistent hashing ({!Ring}) over [(model, dataset)]
     routing keys; a [score] request over an id set whose blocks hash to
     different shards is {e scatter-gathered} — split per owning shard,
-    scored in parallel by the fleet, and reassembled in the original id
-    order. Because every shard serves any (model, dataset) identically
+    the pieces forwarded one after another, and reassembled in the
+    original id order. The first piece to answer pins the model
+    version: every later piece names the id it resolved, so a version
+    published mid-request cannot mix into the response. Because every
+    shard serves any (model, dataset) identically
     (registries are replicas, datasets shared) and per-row predictions
     are batch-invariant, the reassembled response is bitwise-identical
     to a single server's.
@@ -17,6 +20,12 @@
     the chaos suite asserts while SIGKILLing shard processes
     mid-storm. Forwarding connections are cached per handler thread
     and kept alive across requests ({!Metrics.record_conn_reused}).
+
+    Threading: the {!Morpheus_serve.Listener}'s accept thread and
+    [handlers] connection-handler threads (shared with the server: a
+    crashed handler closes its connection, counts a restart, and goes
+    back to the pool with a fresh shard-connection cache), plus the
+    prober thread; no supervisor thread.
 
     Control plane: a prober thread health-checks every shard each
     [probe_interval] and maintains dynamic membership — consecutive

@@ -1,8 +1,10 @@
-type t = { fd : Unix.file_descr; buf : Buffer.t; chunk : Bytes.t }
+type t = { fd : Unix.file_descr; lines : Listener.lines }
 
+(* Responses are read without a size cap: a score_where answer over a
+   large segment legitimately exceeds the listener's request limit. *)
 let connect ~socket =
   let fd = Endpoint.connect (Endpoint.of_string socket) in
-  { fd; buf = Buffer.create 512; chunk = Bytes.create 4096 }
+  { fd; lines = Listener.lines (Endpoint.read fd) }
 
 (* Bound every read and write on the connection so a saturated or
    wedged peer surfaces as a transport error instead of blocking the
@@ -20,33 +22,19 @@ let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
    fault surfaces as a "transport" error via the catch in [call]. *)
 let write_all fd s = Endpoint.write_all fd s
 
-let rec read_line t =
-  let contents = Buffer.contents t.buf in
-  match String.index_opt contents '\n' with
-  | Some i ->
-    Buffer.clear t.buf ;
-    Buffer.add_string t.buf
-      (String.sub contents (i + 1) (String.length contents - i - 1)) ;
-    Some (String.sub contents 0 i)
-  | None -> (
-    match Endpoint.read t.fd t.chunk 0 (Bytes.length t.chunk) with
-    | 0 -> None
-    | n ->
-      Buffer.add_subbytes t.buf t.chunk 0 n ;
-      read_line t)
-
 let call t request =
   match
     Fault.point "client.write" ;
     write_all t.fd (Json.to_string (Protocol.request_to_json request) ^ "\n") ;
     Fault.point "client.read" ;
-    read_line t
+    Listener.next_frame t.lines
   with
-  | Some line -> (
+  | Listener.Frame line -> (
     match Json.of_string line with
     | Ok j -> Protocol.response_result j
     | Error msg -> Error ("transport", "unparseable response: " ^ msg))
-  | None -> Error ("transport", "connection closed by server")
+  | Listener.Eof | Listener.Oversized ->
+    Error ("transport", "connection closed by server")
   | exception Unix.Unix_error (e, _, _) ->
     Error ("transport", Unix.error_message e)
   | exception Fault.Injected p -> Error ("transport", "injected fault at " ^ p)

@@ -108,3 +108,28 @@ let snapshot t =
             ("increases", Json.Num (float_of_int t.increases));
             ("decreases", Json.Num (float_of_int t.decreases))
           ] ))
+
+(* The admission step both the server and the router run around a
+   score request: shed with a structured [overloaded] error at the
+   cap, otherwise fold the request's latency and outcome (an exception
+   counts as a failure) back into the limit. *)
+let admit lim ~metrics ~shed_message f =
+  match lim with
+  | None -> f ()
+  | Some t ->
+    if not (try_acquire t) then begin
+      Metrics.record_limited metrics ;
+      Metrics.record_error metrics ~code:"overloaded" ;
+      Protocol.error ~code:"overloaded" ~message:shed_message
+    end
+    else begin
+      let t0 = t.now () in
+      match f () with
+      | resp ->
+        let ok = Result.is_ok (Protocol.response_result resp) in
+        release t ~latency:(t.now () -. t0) ~ok ;
+        resp
+      | exception e ->
+        release t ~latency:(t.now () -. t0) ~ok:false ;
+        raise e
+    end

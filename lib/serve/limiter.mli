@@ -38,3 +38,15 @@ val shed : t -> int
 
 val snapshot : t -> Json.t
 (** Limit, in-flight, ewma, and counters for the [stats] payload. *)
+
+val admit :
+  t option ->
+  metrics:Metrics.t ->
+  shed_message:string ->
+  (unit -> Json.t) ->
+  Json.t
+(** Run one request under the limiter ([None]: unlimited). At the cap
+    it is not run: the shed is counted ({!Metrics.record_limited}, an
+    [overloaded] error) and answered with an [overloaded] error carrying
+    [shed_message]. Otherwise its latency and outcome — an error
+    response or an exception counts as a failure — are {!release}d. *)

@@ -32,7 +32,8 @@ val record_limited : t -> unit
 (** One request shed by the AIMD concurrency limiter. *)
 
 val record_restart : t -> unit
-(** One crashed handler thread restarted by the supervisor. *)
+(** One handler crash: its connection was closed and the thread went
+    back to the pool with a fresh handler ({!Listener}). *)
 
 val record_write_error : t -> unit
 (** One response write that failed (peer gone mid-write). *)

@@ -1,11 +1,12 @@
 (* The scoring server. Data path of a score request:
 
-     handler thread: read frame → parse → resolve model (registry) →
-       validate shapes → Batcher.submit (blocks)
+     Listener handler thread: read frame → parse → [handle_request]:
+       resolve model (registry) → validate shapes → Batcher.submit
+       (blocks)
      batching thread: coalesce same-(model, dataset) requests →
        one factorized select_rows + lmm (or one dense gemm) →
        split results per request
-     handler thread: render response frame → write
+     Listener handler thread: render response frame → write
 
    The batching thread is the only thread that runs LA kernels, so the
    La.Pool single-caller contract holds; parallelism inside a batch
@@ -68,12 +69,7 @@ let payload_rows = function
 type t = {
   cfg : config;
   metrics : Metrics.t;
-  listen_fd : Unix.file_descr;
-  bound : Endpoint.t;  (* the endpoint actually bound (ephemeral ports resolved) *)
-  (* accepted connections awaiting a handler *)
-  conns : Unix.file_descr Queue.t;
-  conn_m : Analysis.Sync.t;
-  conn_cv : Analysis.Sync.cond;
+  listener : Listener.t;
   (* loaded artifacts, keyed by resolved "name@vN" *)
   models : (string, Artifact.t * Registry.manifest) Hashtbl.t;
   model_m : Analysis.Sync.t;
@@ -83,10 +79,6 @@ type t = {
   (* one circuit breaker per dataset path *)
   breakers : (string, Breaker.t) Hashtbl.t;
   breaker_m : Analysis.Sync.t;
-  (* handler supervision: slot i's thread, and whether it crashed *)
-  mutable slots : Thread.t array;
-  crashed : bool array;
-  sup_m : Analysis.Sync.t;
   recovered : int;  (* registry litter quarantined at startup *)
   (* AIMD admission cap over in-flight score work (None = unlimited) *)
   limiter : Limiter.t option;
@@ -96,10 +88,7 @@ type t = {
   drain_m : Analysis.Sync.t;
   mutable draining : bool;
   mutable active : int;  (* score requests inside Batcher.submit *)
-  stop_m : Analysis.Sync.t;
-  stop_cv : Analysis.Sync.cond;
-  mutable stopping : bool;
-  mutable threads : Thread.t list;
+  mutable drain_thread : Thread.t option;
   started : float;
 }
 
@@ -315,64 +304,6 @@ let exec_batch t key payloads =
               in
               checked_preds payloads preds counts))))
 
-(* ---- stop-aware socket reads ---- *)
-
-(* Buffered line reader that wakes every 100ms to honor a stop. *)
-type reader = {
-  fd : Unix.file_descr;
-  rbuf : Buffer.t;
-  chunk : Bytes.t;
-}
-
-let reader fd = { fd; rbuf = Buffer.create 512; chunk = Bytes.create 4096 }
-
-(* A frame that exceeds this without a newline is hostile or corrupt:
-   answer a structured error and drop the connection rather than
-   buffering without bound. *)
-let max_frame = 1 lsl 20
-
-type frame = Frame of string | Eof | Oversized
-
-let rec read_frame t r =
-  let contents = Buffer.contents r.rbuf in
-  match String.index_opt contents '\n' with
-  | Some i ->
-    let line = String.sub contents 0 i in
-    Buffer.clear r.rbuf ;
-    Buffer.add_string r.rbuf
-      (String.sub contents (i + 1) (String.length contents - i - 1)) ;
-    if String.length line > max_frame then Oversized else Frame line
-  | None ->
-    if Buffer.length r.rbuf > max_frame then Oversized
-    else if t.stopping then Eof
-    else begin
-      match Unix.select [ r.fd ] [] [] 0.1 with
-      | [], _, _ -> read_frame t r
-      | _ -> (
-        match Endpoint.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-        | 0 -> Eof (* EOF; any partial line is dropped *)
-        | n ->
-          Buffer.add_subbytes r.rbuf r.chunk 0 n ;
-          read_frame t r
-        | exception Unix.Unix_error ((EBADF | ECONNRESET | EPIPE), _, _) -> Eof
-        | exception Fault.Injected _ -> Eof)
-      | exception Unix.Unix_error (EBADF, _, _) -> Eof
-    end
-
-(* SIGPIPE is ignored at startup, so a dead peer surfaces here as
-   EPIPE → [false], which the caller accounts as a write error. An
-   injected transport fault (endpoint.write.torn closes the conn with
-   a half frame on the wire) is accounted the same way. *)
-let write_frame fd json =
-  let line = Json.to_string json ^ "\n" in
-  try
-    Fault.point "server.write" ;
-    Endpoint.write_all fd line ;
-    true
-  with
-  | Unix.Unix_error _ -> false
-  | Fault.Injected _ -> false
-
 (* ---- request handling ---- *)
 
 let manifest_json (e : Registry.entry) =
@@ -445,14 +376,7 @@ let stats t =
   | Json.Obj fields -> Json.Obj (fields @ [ ("server", server) ])
   | other -> Json.Obj [ ("metrics", other); ("server", server) ]
 
-let signal_stop t =
-  Analysis.Sync.lock t.stop_m ;
-  t.stopping <- true ;
-  Analysis.Sync.broadcast t.stop_cv ;
-  Analysis.Sync.unlock t.stop_m ;
-  Analysis.Sync.lock t.conn_m ;
-  Analysis.Sync.broadcast t.conn_cv ;
-  Analysis.Sync.unlock t.conn_m
+let request_stop t = Listener.request_stop t.listener
 
 (* ---- graceful drain ---- *)
 
@@ -491,7 +415,7 @@ let cancel_drain t =
 let drain_watcher t =
   let idle = ref 0 in
   let rec loop () =
-    if t.stopping then ()
+    if Listener.stopping t.listener then ()
     else begin
       Thread.delay 0.025 ;
       Analysis.Sync.lock t.drain_m ;
@@ -501,7 +425,7 @@ let drain_watcher t =
         match t.batcher with Some b -> Batcher.pending b | None -> 0
       in
       if draining && active = 0 && pending = 0 then incr idle else idle := 0 ;
-      if !idle >= 8 then signal_stop t else loop ()
+      if !idle >= 8 then request_stop t else loop ()
     end
   in
   loop ()
@@ -627,7 +551,7 @@ let handle_request t req =
     Protocol.ok [ ("draining", Json.Bool true) ]
   | Protocol.Undrain _ ->
     Metrics.record t.metrics ~op:"undrain" ~seconds:0.0 ;
-    if t.stopping then
+    if Listener.stopping t.listener then
       Protocol.error ~code:"rejected"
         ~message:"drain already completed, server is stopping"
     else begin
@@ -652,182 +576,25 @@ let handle_request t req =
       ]
   | Protocol.Shutdown ->
     Metrics.record t.metrics ~op:"shutdown" ~seconds:0.0 ;
-    signal_stop t ;
+    request_stop t ;
     Protocol.ok [ ("stopping", Json.Bool true) ]
-  | Protocol.Score { model; target; deadline_ms } -> (
-    match t.limiter with
-    | None -> handle_score t ~model ~target ~deadline_ms
-    | Some lim ->
-      if not (Limiter.try_acquire lim) then begin
-        Metrics.record_limited t.metrics ;
-        Metrics.record_error t.metrics ~code:"overloaded" ;
-        Protocol.error ~code:"overloaded"
-          ~message:"concurrency limit reached, request shed"
-      end
-      else begin
-        let t0 = now () in
-        match handle_score t ~model ~target ~deadline_ms with
-        | resp ->
-          let ok = Result.is_ok (Protocol.response_result resp) in
-          Limiter.release lim ~latency:(now () -. t0) ~ok ;
-          resp
-        | exception e ->
-          Limiter.release lim ~latency:(now () -. t0) ~ok:false ;
-          raise e
-      end)
-
-let serve_connection t fd =
-  let r = reader fd in
-  let rec loop () =
-    match read_frame t r with
-    | Eof -> ()
-    | Oversized ->
-      (* structured refusal, then hang up: the rest of the buffer is
-         the same runaway frame *)
-      Metrics.record_error t.metrics ~code:"bad_request" ;
-      ignore
-        (write_frame fd
-           (Protocol.error ~code:"bad_request"
-              ~message:
-                (Printf.sprintf "frame too large (limit %d bytes)" max_frame)))
-    | Frame line ->
-      let response =
-        match Json.of_string line with
-        | Error msg ->
-          Metrics.record_error t.metrics ~code:"bad_request" ;
-          Protocol.error ~code:"bad_request" ~message:msg
-        | Ok j -> (
-          match Protocol.request_of_json j with
-          | Error msg ->
-            Metrics.record_error t.metrics ~code:"bad_request" ;
-            Protocol.error ~code:"bad_request" ~message:msg
-          | Ok req -> (
-            (* a failing handler answers ["internal"], it does not take
-               the connection (or its thread) down with it *)
-            match handle_request t req with
-            | response -> response
-            | exception (Fault.Injected _ as e) -> raise e
-            | exception e ->
-              Metrics.record_error t.metrics ~code:"internal" ;
-              Protocol.error ~code:"internal" ~message:(Printexc.to_string e)))
-      in
-      if write_frame fd response then loop ()
-      else begin
-        (* peer gone mid-write: account it; the request itself already
-           ran, so this is a delivery failure, not a scoring failure *)
-        Metrics.record_write_error t.metrics ;
-        Metrics.record_error t.metrics ~code:"client_write"
-      end
-  in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      (* the supervision drill point: a crash here kills the handler
-         thread, which the supervisor detects and replaces *)
-      Fault.point "server.handler" ;
-      loop ())
-
-(* ---- threads ---- *)
-
-let accept_loop t =
-  let rec loop () =
-    if t.stopping then ()
-    else begin
-      match Unix.select [ t.listen_fd ] [] [] 0.1 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Endpoint.accept t.listen_fd with
-        | fd, _ ->
-          Analysis.Sync.lock t.conn_m ;
-          Queue.push fd t.conns ;
-          Analysis.Sync.signal t.conn_cv ;
-          Analysis.Sync.unlock t.conn_m ;
-          loop ()
-        | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
-        | exception Unix.Unix_error _ -> loop ()
-        (* injected accept fault: the pending connection stays in the
-           kernel backlog and is retried on the next select round — a
-           delayed accept, never a lost connection *)
-        | exception Fault.Injected _ -> loop ())
-      | exception Unix.Unix_error _ -> ()
-    end
-  in
-  loop ()
-
-let handler_loop t =
-  let rec loop () =
-    Analysis.Sync.lock t.conn_m ;
-    while Queue.is_empty t.conns && not t.stopping do
-      Analysis.Sync.wait t.conn_cv t.conn_m
-    done ;
-    let fd = if Queue.is_empty t.conns then None else Some (Queue.pop t.conns) in
-    Analysis.Sync.unlock t.conn_m ;
-    match fd with
-    | Some fd ->
-      serve_connection t fd ;
-      loop ()
-    | None -> () (* stopping and drained *)
-  in
-  loop ()
-
-(* A handler slot: run the loop; if it dies (anything escaping
-   [serve_connection] — in practice an injected crash or a genuinely
-   unexpected bug), flag the slot for the supervisor and exit the
-   thread. The connection's fd was already closed by the Fun.protect
-   in [serve_connection]. *)
-let handler_slot t i =
-  try handler_loop t
-  with _ ->
-    Analysis.Sync.lock t.sup_m ;
-    t.crashed.(i) <- true ;
-    Analysis.Sync.unlock t.sup_m
-
-(* The supervisor: poll for crashed slots, join the dead thread,
-   respawn it, and count the restart. Polling (20ms) keeps the common
-   path free of any coordination; a crash only delays new connections
-   on that slot by at most one poll interval. *)
-let supervisor t =
-  let rec loop () =
-    Thread.delay 0.02 ;
-    Analysis.Sync.lock t.sup_m ;
-    let dead = ref [] in
-    Array.iteri
-      (fun i c ->
-        if c then begin
-          t.crashed.(i) <- false ;
-          dead := i :: !dead
-        end)
-      t.crashed ;
-    Analysis.Sync.unlock t.sup_m ;
-    List.iter
-      (fun i ->
-        Thread.join t.slots.(i) ;
-        Metrics.record_restart t.metrics ;
-        t.slots.(i) <- Thread.create (handler_slot t) i)
-      !dead ;
-    if not t.stopping then loop ()
-  in
-  loop ()
+  | Protocol.Score { model; target; deadline_ms } ->
+    Limiter.admit t.limiter ~metrics:t.metrics
+      ~shed_message:"concurrency limit reached, request shed" (fun () ->
+        handle_score t ~model ~target ~deadline_ms)
 
 (* ---- lifecycle ---- *)
 
 let start cfg =
   if cfg.handlers < 1 then invalid_arg "Server.start: handlers < 1" ;
   if cfg.cache_capacity < 1 then invalid_arg "Server.start: cache_capacity < 1" ;
-  (* a dead peer must surface as a write error, not kill the process *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()) ;
   (* quarantine crash litter before anything reads the registry *)
   let recovered = List.length (Registry.recover ~dir:cfg.registry) in
-  let ep = Endpoint.of_string cfg.socket in
-  let listen_fd = Endpoint.listen ep in
+  let metrics = Metrics.create () in
   let t =
     { cfg;
-      metrics = Metrics.create ();
-      listen_fd;
-      bound = Endpoint.bound_endpoint ep listen_fd;
-      conns = Queue.create ();
-      conn_m = Analysis.Sync.create ~name:"serve.server.conns" ();
-      conn_cv = Analysis.Sync.condition ();
+      metrics;
+      listener = Listener.create ~name:"server" ~metrics cfg.socket;
       models = Hashtbl.create 8;
       model_m = Analysis.Sync.create ~name:"serve.server.models" ();
       datasets =
@@ -837,9 +604,6 @@ let start cfg =
       batcher = None;
       breakers = Hashtbl.create 8;
       breaker_m = Analysis.Sync.create ~name:"serve.server.breakers" ();
-      slots = [||];
-      crashed = Array.make cfg.handlers false;
-      sup_m = Analysis.Sync.create ~name:"serve.server.sup" ();
       recovered;
       limiter =
         Option.map
@@ -848,10 +612,7 @@ let start cfg =
       drain_m = Analysis.Sync.create ~name:"serve.server.drain" ();
       draining = false;
       active = 0;
-      stop_m = Analysis.Sync.create ~name:"serve.server.stop" ();
-      stop_cv = Analysis.Sync.condition ();
-      stopping = false;
-      threads = [];
+      drain_thread = None;
       started = now ()
     }
   in
@@ -860,45 +621,25 @@ let start cfg =
       (Batcher.create ~max_batch:cfg.max_batch ~max_wait:cfg.max_wait
          ~queue_bound:cfg.queue_bound ~metrics:t.metrics ~size:payload_rows
          ~exec:(exec_batch t) ()) ;
-  let accept_t = Thread.create accept_loop t in
-  t.slots <- Array.init cfg.handlers (fun i -> Thread.create (handler_slot t) i) ;
-  let sup_t = Thread.create supervisor t in
-  let drain_t = Thread.create drain_watcher t in
-  t.threads <- [ accept_t; sup_t; drain_t ] ;
+  Listener.start t.listener ~handlers:cfg.handlers (fun () ->
+      { Listener.handle = (fun ~arrived:_ req -> handle_request t req);
+        close = ignore
+      }) ;
+  t.drain_thread <- Some (Thread.create drain_watcher t) ;
   t
 
-let request_stop t = signal_stop t
-
-let wait t =
-  Analysis.Sync.lock t.stop_m ;
-  while not t.stopping do
-    Analysis.Sync.wait t.stop_cv t.stop_m
-  done ;
-  Analysis.Sync.unlock t.stop_m
-
+let wait t = Listener.wait t.listener
 let metrics t = t.metrics
-let endpoint t = t.bound
+let endpoint t = Listener.endpoint t.listener
 
 let stop t =
   request_stop t ;
-  (* accept + supervisor first: once the supervisor has exited the
-     slots array is stable and every slot can be joined *)
-  List.iter Thread.join t.threads ;
-  t.threads <- [] ;
-  Array.iter Thread.join t.slots ;
-  t.slots <- [||] ;
-  (* reject queued-but-unserved connections cleanly *)
-  Queue.iter
-    (fun fd ->
-      ignore
-        (write_frame fd
-           (Protocol.error ~code:"rejected" ~message:"server shutting down")) ;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    t.conns ;
-  Queue.clear t.conns ;
-  (match t.batcher with Some b -> Batcher.stop b | None -> ()) ;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ()) ;
-  Endpoint.cleanup t.bound
+  Option.iter Thread.join t.drain_thread ;
+  t.drain_thread <- None ;
+  (* the handlers are joined before the batcher stops: a handler blocked
+     in Batcher.submit still gets its answer *)
+  Listener.stop t.listener ;
+  match t.batcher with Some b -> Batcher.stop b | None -> ()
 
 let run cfg =
   let t = start cfg in
@@ -914,7 +655,7 @@ let run cfg =
   in
   Fmt.pr "morpheus serve: registry %s, listening on %s (%d handlers, batch ≤ %d / %gms)@."
     cfg.registry
-    (Endpoint.to_string t.bound)
+    (Endpoint.to_string (endpoint t))
     cfg.handlers cfg.max_batch (1e3 *. cfg.max_wait) ;
   if t.recovered > 0 then
     Fmt.pr "morpheus serve: quarantined %d crash-litter entries from the registry@."

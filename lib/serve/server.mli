@@ -2,18 +2,19 @@
     domain socket or TCP ({!Endpoint}) in front of the model registry
     and the micro-batching scoring engine.
 
-    Threading: one accept thread, [handlers] connection-handler
-    threads, one supervisor thread, and one batching thread. Handler
-    threads only parse, validate, and block in {!Batcher.submit};
-    every LA kernel runs on the batching thread, so the {!La.Pool}
+    Threading: the {!Listener}'s accept thread and [handlers]
+    connection-handler threads, one drain-watcher thread, and one
+    batching thread; there is no supervisor thread. Handler threads
+    only parse, validate, and block in {!Batcher.submit}; every LA
+    kernel runs on the batching thread, so the {!La.Pool}
     single-caller contract holds and the kernels may still parallelize
     internally over domains. Overload shedding and per-request
     deadlines are enforced by the batcher; a shed or expired request
     gets an error response, never silence.
 
-    Self-healing: the supervisor joins and respawns any handler thread
-    that crashes (counted in {!Metrics.restarts}); each server-side
-    dataset gets a {!Breaker} so repeated load failures fail fast
+    Self-healing: a handler that crashes closes its connection and goes
+    straight back to the pool (counted in {!Metrics.restarts}); each
+    server-side dataset gets a {!Breaker} so repeated load failures fail fast
     instead of hammering the filesystem; {!start} runs
     {!Registry.recover} to quarantine crash litter; and the [health]
     protocol op reports ok/degraded with open-circuit and restart

@@ -93,7 +93,7 @@ let test_fault_wildcard () =
       | () -> Alcotest.fail "wildcard rule did not fire"
       | exception Fault.Injected p ->
         Alcotest.(check string) "payload names the point" "io.write" p) ;
-      match Fault.point "server.write" with
+      match Fault.point "listener.write" with
       | () -> ()
       | exception Fault.Injected _ -> Alcotest.fail "unmatched point fired")
 
@@ -540,8 +540,8 @@ let serve_chaos seed () =
   must_configure
     (Printf.sprintf
        "seed=%d,io.read=0.05,registry.load=0.05,dataset_cache.load=0.05,\
-        batcher.submit=0.04,batcher.exec=0.04,server.write=0.04,\
-        server.handler=0.03,client.write=0.03,client.read=0.03"
+        batcher.submit=0.04,batcher.exec=0.04,listener.write=0.04,\
+        listener.handler=0.03,client.write=0.03,client.read=0.03"
        seed) ;
   for b = 0 to 9 do
     (match
@@ -591,22 +591,50 @@ let serve_chaos seed () =
       | Ok _ -> ()
       | Error (code, msg) -> Alcotest.failf "ping after chaos: [%s] %s" code msg)
 
-(* ---- handler supervision: crashed handlers are replaced ---- *)
+(* ---- handler supervision: a crash costs one connection, not a thread ---- *)
 
-let test_supervision () =
-  let root = tmpdir "chaos_sup" in
+(* A supervised endpoint: its address, the metrics its listener
+   counts restarts in, and how to stop it. *)
+type supervised = { addr : string; metrics : Metrics.t; close : unit -> unit }
+
+let supervised_server root =
   let _, _, _, _, reg, _ = make_serving root in
   let socket = Filename.concat root "sock" in
   let server =
     Server.start
       { (Server.default_config ~registry:reg ~socket) with Server.handlers = 2 }
   in
+  { addr = socket; metrics = Server.metrics server; close = (fun () -> Server.stop server) }
+
+(* The router in front of a server; no prober, so the only connections
+   the drill crashes are the test's own. *)
+let supervised_router root =
+  let shard = supervised_server root in
+  let router =
+    Morpheus_cluster.Router.(
+      start
+        { (default_config ~listen:"127.0.0.1:0" ~shards:[ ("s0", shard.addr) ]) with
+          handlers = 2;
+          probe_interval = 0.0
+        })
+  in
+  { addr = Endpoint.to_string (Morpheus_cluster.Router.endpoint router);
+    metrics = Morpheus_cluster.Router.metrics router;
+    close =
+      (fun () ->
+        Morpheus_cluster.Router.stop router ;
+        shard.close ())
+  }
+
+let test_supervision start () =
+  let ep = start (tmpdir "chaos_sup") in
   Fun.protect
     ~finally:(fun () ->
       Fault.disable () ;
-      Server.stop server)
+      ep.close ())
   @@ fun () ->
-  must_configure "server.handler=1.0" ;
+  let socket = ep.addr in
+  must_configure "listener.handler=1.0" ;
   (* every connection crashes its handler: the client sees a closed
      connection (a transport error), never a hang or a wrong answer *)
   for i = 1 to 3 do
@@ -617,26 +645,21 @@ let test_supervision () =
       Alcotest.failf "connection %d: wrong error [%s] %s" i code msg
   done ;
   Fault.disable () ;
-  (* the supervisor replaced them: service resumes *)
-  let policy =
-    { Client.default_retry with
-      attempts = 50;
-      base_backoff = 0.01;
-      max_backoff = 0.05;
-      budget = 10.0
-    }
-  in
-  (match Client.call_retry ~policy ~socket Protocol.Ping with
+  (* the handler threads went straight back to the pool: service
+     resumes at once (through a router, health also reaches the shard) *)
+  (match Client.with_client ~socket (fun c -> Client.call c Protocol.Ping) with
   | Ok _ -> ()
-  | Error (code, msg) ->
-    Alcotest.failf "no handler came back: [%s] %s" code msg) ;
-  (* all three crashes were joined, counted, and respawned *)
+  | Error (code, msg) -> Alcotest.failf "no handler came back: [%s] %s" code msg) ;
+  (match Client.with_client ~socket (fun c -> Client.call c Protocol.Health) with
+  | Ok _ -> ()
+  | Error (code, msg) -> Alcotest.failf "health after the drill: [%s] %s" code msg) ;
+  (* all three crashes were counted (the last one may still be on its
+     way: the client saw the hangup before the count) *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   let rec await () =
-    if Metrics.restarts (Server.metrics server) >= 3 then ()
+    if Metrics.restarts ep.metrics >= 3 then ()
     else if Unix.gettimeofday () > deadline then
-      Alcotest.failf "only %d handler restarts counted"
-        (Metrics.restarts (Server.metrics server))
+      Alcotest.failf "only %d handler restarts counted" (Metrics.restarts ep.metrics)
     else begin
       Thread.delay 0.02 ;
       await ()
@@ -726,7 +749,10 @@ let () =
         [ Alcotest.test_case "fault storm, seed 11" `Quick (serve_chaos 11);
           Alcotest.test_case "fault storm, seed 12" `Quick (serve_chaos 12);
           Alcotest.test_case "fault storm, seed 13" `Quick (serve_chaos 13);
-          Alcotest.test_case "handler supervision" `Quick test_supervision;
+          Alcotest.test_case "handler supervision" `Quick
+            (test_supervision supervised_server);
+          Alcotest.test_case "handler supervision, router" `Quick
+            (test_supervision supervised_router);
           Alcotest.test_case "dataset circuit breaker" `Quick
             test_server_circuit_breaker ] )
     ]

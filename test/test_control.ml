@@ -183,7 +183,77 @@ let qcheck_truncated_frames =
       | Ok j -> ( match Protocol.request_of_json j with Ok _ | Error _ -> true)
       | Error _ -> true)
 
-(* ---- live-socket fuzz: garbage never kills or wedges the server ---- *)
+(* ---- the line framer: any split, any packing, the cap, a torn tail ---- *)
+
+(* A byte source over [s] whose successive reads return at most the
+   next of [cuts] bytes, cycling. *)
+let source s cuts =
+  let pos = ref 0 and k = ref 0 in
+  fun buf off len ->
+    let cut = List.nth cuts (!k mod List.length cuts) in
+    let n = min len (min cut (String.length s - !pos)) in
+    incr k ;
+    Bytes.blit_string s !pos buf off n ;
+    pos := !pos + n ;
+    n
+
+(* Frames of random lengths around a random cap (0..cap+1, so both
+   sides of the boundary come up often), fed through reads of random
+   sizes that split frames and pack several into one read, followed by
+   an unterminated tail. Expected: every frame back unchanged up to
+   the first one over the cap, which is Oversized; otherwise the tail
+   is dropped at EOF (a torn write), or Oversized if it alone exceeds
+   the cap. *)
+let framer_case_gen =
+  let open QCheck.Gen in
+  int_range 1 48 >>= fun cap ->
+  let line =
+    oneof [ int_range 0 cap; return cap; return (cap + 1) ] >>= fun n ->
+    string_size ~gen:(char_range 'a' 'z') (return n)
+  in
+  quad (return cap) (list_size (int_range 0 12) line)
+    (string_size ~gen:(char_range 'a' 'z') (int_range 0 (cap + 2)))
+    (list_size (int_range 1 8) (int_range 1 70))
+
+let qcheck_framer =
+  QCheck.Test.make ~name:"line framer: splits, packing, cap, torn tail"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (cap, frames, tail, cuts) ->
+         Printf.sprintf "cap=%d frames=[%s] tail=%S cuts=[%s]" cap
+           (String.concat ";" (List.map (Printf.sprintf "%S") frames))
+           tail
+           (String.concat ";" (List.map string_of_int cuts)))
+       framer_case_gen)
+    (fun (cap, frames, tail, cuts) ->
+      let wire = String.concat "" (List.map (fun f -> f ^ "\n") frames) ^ tail in
+      let r = Listener.lines (source wire cuts) in
+      let rec expect = function
+        | f :: rest when String.length f <= cap ->
+          Listener.next_frame ~max:cap r = Listener.Frame f && expect rest
+        | _ :: _ -> Listener.next_frame ~max:cap r = Listener.Oversized
+        | [] ->
+          Listener.next_frame ~max:cap r
+          = if String.length tail > cap then Listener.Oversized else Listener.Eof
+      in
+      expect frames)
+
+(* The listener's real cap, and the client's uncapped read. *)
+let test_framer_max_frame () =
+  let feed s = Listener.lines (source s [ 4096 ]) in
+  let at = String.make Listener.max_frame 'x' in
+  let over = at ^ "x" in
+  (match Listener.next_frame ~max:Listener.max_frame (feed (at ^ "\n")) with
+  | Listener.Frame f -> Alcotest.(check int) "max_frame accepted" Listener.max_frame (String.length f)
+  | _ -> Alcotest.fail "a frame of exactly max_frame bytes was refused") ;
+  (match Listener.next_frame ~max:Listener.max_frame (feed (over ^ "\n")) with
+  | Listener.Oversized -> ()
+  | _ -> Alcotest.fail "a frame of max_frame + 1 bytes was accepted") ;
+  match Listener.next_frame (feed (over ^ "\n")) with
+  | Listener.Frame f -> Alcotest.(check int) "uncapped" (Listener.max_frame + 1) (String.length f)
+  | _ -> Alcotest.fail "the uncapped framer refused a long line"
+
+(* ---- live-socket fuzz: garbage never kills or wedges an endpoint ---- *)
 
 let start_plain_server () =
   let reg = tmpdir "control_empty_reg" in
@@ -222,11 +292,22 @@ let read_response fd =
   in
   go ()
 
-let test_wire_fuzz () =
+(* An endpoint under test: its address, its stats payload, and how to
+   stop it. *)
+type endpoint = { addr : string; stats : unit -> Json.t; close : unit -> unit }
+
+let plain_server () =
   let server = start_plain_server () in
-  Fun.protect ~finally:(fun () -> Server.stop server)
+  { addr = Endpoint.to_string (Server.endpoint server);
+    stats = (fun () -> Server.stats server);
+    close = (fun () -> Server.stop server)
+  }
+
+let test_wire_fuzz (start : unit -> endpoint) () =
+  let ep = start () in
+  Fun.protect ~finally:ep.close
   @@ fun () ->
-  let addr = Endpoint.to_string (Server.endpoint server) in
+  let addr = ep.addr in
   let garbage =
     [ "not json at all";
       "{\"op\":\"score\"";  (* truncated object *)
@@ -268,11 +349,11 @@ let test_wire_fuzz () =
     | Some resp when contains ~needle:"bad_request" resp -> ()
     | Some resp -> Alcotest.failf "oversized frame got %S" resp
     | None -> () (* connection reset before the refusal drained: fine *)) ;
-  (* the server is still healthy and the refusals were counted *)
+  (* the endpoint is still healthy and the refusals were counted *)
   (match wire addr Protocol.Ping with
   | Ok _ -> ()
   | Error (c, m) -> Alcotest.failf "ping after fuzz: [%s] %s" c m) ;
-  let stats = Json.to_string (Server.stats server) in
+  let stats = Json.to_string (ep.stats ()) in
   if not (contains ~needle:"bad_request" stats) then
     Alcotest.fail "refusals were not counted in stats"
 
@@ -423,14 +504,17 @@ type fake = {
   fk_listen : Unix.file_descr;
   mutable fk_threads : Thread.t list;
   fk_deadlines : float Queue.t;
+  fk_models : string Queue.t;  (* the model named by each score *)
   fk_q : Mutex.t;
 }
 
 (* A minimal shard: answers health immediately, score after
-   [score_delay], recording each forwarded deadline_ms. Good enough to
-   stand on the far side of the router — the real server's behavior is
-   covered by @clustercheck. *)
-let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok") () =
+   [score_delay], recording each forwarded deadline_ms and model name;
+   [resolve] maps the requested model to the id it answers with. Good
+   enough to stand on the far side of the router — the real server's
+   behavior is covered by @clustercheck. *)
+let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok")
+    ?(resolve = fun _ -> "m@v1") () =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true ;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) ;
@@ -446,6 +530,7 @@ let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok") () =
       fk_listen = listen_fd;
       fk_threads = [];
       fk_deadlines = Queue.create ();
+      fk_models = Queue.create ();
       fk_q = Mutex.create ()
     }
   in
@@ -469,12 +554,15 @@ let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok") () =
           | "health" ->
             Json.Obj [ ("ok", Json.Bool true); ("status", Json.Str status) ]
           | "score" ->
-            (match Option.bind (Json.member "deadline_ms" j) Json.to_float with
-            | Some d ->
-              Mutex.lock f.fk_q ;
-              Queue.push d f.fk_deadlines ;
-              Mutex.unlock f.fk_q
-            | None -> ()) ;
+            let model =
+              Option.value ~default:"" (Option.bind (Json.member "model" j) Json.to_str)
+            in
+            Mutex.lock f.fk_q ;
+            Queue.push model f.fk_models ;
+            Option.iter
+              (fun d -> Queue.push d f.fk_deadlines)
+              (Option.bind (Json.member "deadline_ms" j) Json.to_float) ;
+            Mutex.unlock f.fk_q ;
             if score_delay > 0.0 then Thread.delay score_delay ;
             let n =
               match Option.bind (Json.member "ids" j) Json.to_list with
@@ -486,7 +574,7 @@ let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok") () =
             in
             Json.Obj
               [ ("ok", Json.Bool true);
-                ("model", Json.Str "m@v1");
+                ("model", Json.Str (resolve model));
                 ("predictions", Json.Arr (List.init n (fun _ -> Json.Num 0.125)))
               ]
           | _ ->
@@ -534,11 +622,14 @@ let stop_fake f =
   (try Unix.close f.fk_listen with _ -> ()) ;
   List.iter (fun t -> try Thread.join t with _ -> ()) f.fk_threads
 
-let fake_deadlines f =
+let fake_log f q =
   Mutex.lock f.fk_q ;
-  let l = List.of_seq (Queue.to_seq f.fk_deadlines) in
+  let l = List.of_seq (Queue.to_seq q) in
   Mutex.unlock f.fk_q ;
   l
+
+let fake_deadlines f = fake_log f f.fk_deadlines
+let fake_models f = fake_log f f.fk_models
 
 let router_over ?(probe_interval = 0.05) ?(hedge = false) ?limiter_target_ms
     ?(handlers = 2) shards =
@@ -577,6 +668,57 @@ let member_in_ring j shard =
 let score_rows_req ?deadline_ms () =
   Protocol.Score
     { model = "m"; target = Protocol.Rows [| [| 0.5; 0.25 |] |]; deadline_ms }
+
+(* The router in front of one fake shard, as a fuzz target. *)
+let routed_fake () =
+  let shard = start_fake () in
+  let router = router_over [ ("s0", shard.fk_addr) ] in
+  { addr = Endpoint.to_string (Router.endpoint router);
+    stats = (fun () -> Router.stats router);
+    close =
+      (fun () ->
+        Router.stop router ;
+        stop_fake shard)
+  }
+
+(* ---- scatter-gather pins one model version across its pieces ---- *)
+
+let test_scatter_pins_version () =
+  (* two shards that resolve bare "m" to different versions, as around
+     a publish; a pinned id is answered as named *)
+  let resolver latest = function "m" -> latest | id -> id in
+  let a = start_fake ~resolve:(resolver "m@v1") () in
+  let b = start_fake ~resolve:(resolver "m@v2") () in
+  Fun.protect ~finally:(fun () -> stop_fake a ; stop_fake b)
+  @@ fun () ->
+  let router = router_over ~probe_interval:0.0 [ ("s0", a.fk_addr); ("s1", b.fk_addr) ] in
+  Fun.protect ~finally:(fun () -> Router.stop router)
+  @@ fun () ->
+  let addr = Endpoint.to_string (Router.endpoint router) in
+  (* 64 ids in blocks of 4 land on both shards *)
+  let ids = Array.init 64 Fun.id in
+  let named =
+    match
+      wire addr
+        (Protocol.Score
+           { model = "m"; target = Protocol.Dataset { dataset = "/ds"; ids }; deadline_ms = None })
+    with
+    | Ok j -> Option.value ~default:"" (Option.bind (Json.member "model" j) Json.to_str)
+    | Error (c, m) -> Alcotest.failf "scattered score: [%s] %s" c m
+  in
+  (* whichever shard answered first resolved bare "m"; the other must
+     have been sent that resolved id *)
+  let first, second =
+    match (fake_models a, fake_models b) with
+    | [ "m" ], [ pinned ] -> ("m@v1", pinned)
+    | [ pinned ], [ "m" ] -> ("m@v2", pinned)
+    | la, lb ->
+      Alcotest.failf "expected one piece per shard, saw [%s] and [%s]"
+        (String.concat "," la) (String.concat "," lb)
+  in
+  Alcotest.(check string) "the second piece names the version the first resolved"
+    first second ;
+  Alcotest.(check string) "the response names that one version" first named
 
 (* ---- deadline propagation: the shard sees a smaller budget ---- *)
 
@@ -1034,7 +1176,11 @@ let () =
         [ qc qcheck_json_total;
           qc qcheck_request_total;
           qc qcheck_truncated_frames;
-          Alcotest.test_case "live-socket fuzz" `Quick test_wire_fuzz ] );
+          qc qcheck_framer;
+          Alcotest.test_case "framer at max_frame" `Quick test_framer_max_frame;
+          Alcotest.test_case "live-socket fuzz" `Quick (test_wire_fuzz plain_server);
+          Alcotest.test_case "live-socket fuzz, router" `Quick
+            (test_wire_fuzz routed_fake) ] );
       ( "breaker",
         [ Alcotest.test_case "seeded jitter spreads reopens" `Quick
             test_breaker_jitter_spread ] );
@@ -1045,6 +1191,9 @@ let () =
       ( "deadline",
         [ Alcotest.test_case "budget decrements across the router" `Quick
             test_deadline_propagation ] );
+      ( "scatter",
+        [ Alcotest.test_case "one model version per response" `Quick
+            test_scatter_pins_version ] );
       ( "membership",
         [ Alcotest.test_case "router drain lifecycle" `Quick test_router_drain;
           Alcotest.test_case "probe eject and rejoin" `Quick
