@@ -1206,11 +1206,13 @@ let lint_cmd =
   in
   Cmd.v
     (cmd_info "lint"
-       ~doc:"Check source-tree invariants the type system cannot: fault \
-             points vs docs/ROBUSTNESS.md, protocol ops vs docs/SERVING.md, \
-             raw concurrency/clock primitives outside their sanctioned \
-             modules, routed ops and cluster fault points vs their doc \
-             tables, and diagnostic-code uniqueness across catalogues.")
+       ~doc:"Check source-tree invariants the type system cannot \
+             (E201-E208): fault points vs docs/ROBUSTNESS.md, protocol ops \
+             vs docs/SERVING.md, raw concurrency/clock primitives outside \
+             their sanctioned modules, diagnostic-code uniqueness across \
+             catalogues, relational nodes vs docs/REWRITE_RULES.md, unsafe \
+             indexing vs the kernel table of docs/ANALYSIS.md, and routed \
+             ops and cluster fault points vs their doc tables.")
     Term.(const lint $ root)
 
 (* ---- tune: sweep tile profiles for the blocked dense kernels ---- *)

@@ -14,23 +14,29 @@
    - E204       no raw Mutex/Condition, wall-clock, or
                 Random.self_init outside the sanctioned modules.
    - E205       diagnostic codes are unique across catalogues.
+   - E206       the relational Ast nodes and the docs/REWRITE_RULES.md
+                table agree.
    - E207       Array.unsafe_get/unsafe_set only in the kernel modules
                 the docs/ANALYSIS.md table sanctions — and every
-                sanctioned module still uses them (both directions).
+                sanctioned module still uses them.
+   - E208       the router's ops and the lib/cluster fault points agree
+                with their docs/SERVING.md and docs/ROBUSTNESS.md
+                tables.
+   Every rule but E204/E205 is a row of [catalogues], checked both ways
+   by [check_catalogue].
 
    The lint knows nothing about the modules above it: the CLI passes
-   in the protocol-op list and the diagnostic catalogues, so this
-   module stays at the bottom of the dependency order next to Sync. *)
+   in the protocol ops, the diagnostic catalogues, the relational nodes
+   and the routed ops, so this module stays at the bottom of the
+   dependency order next to Sync. *)
 
 type config = {
   root : string;  (* repo root; lib/ bin/ docs/ resolved under it *)
   protocol_ops : string list;
   catalogues : (string * string list) list;
       (* catalogue name -> its diagnostic code names, for E205 *)
-  relational_nodes : string list;
-      (* Ast.relational_node_names, for E206; [] disables the rule *)
-  router_ops : string list;
-      (* Router.routed_op_names, for E208; [] disables the rule *)
+  relational_nodes : string list;  (* Ast.relational_node_names, for E206 *)
+  router_ops : string list;  (* Router.routed_op_names, for E208 *)
 }
 
 (* ---- source scanning ---- *)
@@ -189,19 +195,22 @@ let token_offsets text pat =
   done ;
   List.rev !out
 
-(* ---- rule E201/E202: fault points vs docs/ROBUSTNESS.md ---- *)
+(* ---- doc <-> code catalogues: E201/E202, E203, E206, E207, E208 ---- *)
 
 (* The token is split so that scanning this very file (lint.ml is in
    lib/) cannot mistake the pattern for a call site. *)
 let fault_point_token = "Fault." ^ "point"
 
-(* [(name, file:line)] for every Fault.point "name" in [text]
-   (comments stripped, strings kept). *)
-let fault_points_in rel text =
+let unsafe_tokens = [ "Array.unsafe_get"; "Array.unsafe_set" ]
+
+(* [(name, line)] for every [token "name"] in [text] (blanks allowed
+   between): Fault.point calls in code, "op": wire examples in a doc,
+   Some "op" parser cases. *)
+let quoted_after token text =
+  let n = String.length text in
   List.filter_map
     (fun off ->
-      let j = ref (off + String.length fault_point_token) in
-      let n = String.length text in
+      let j = ref (off + String.length token) in
       while !j < n && (text.[!j] = ' ' || text.[!j] = '\n') do
         incr j
       done ;
@@ -210,157 +219,214 @@ let fault_points_in rel text =
         while !k < n && text.[!k] <> '"' do
           incr k
         done ;
-        Some
-          ( String.sub text (!j + 1) (!k - !j - 1),
-            Printf.sprintf "%s:%d" rel (line_at text off) )
+        Some (String.sub text (!j + 1) (!k - !j - 1), line_at text off)
       end
       else None)
-    (token_offsets text fault_point_token)
+    (token_offsets text token)
 
-(* The doc's point catalogue is its markdown table: backticked
-   `a.b[.c]` tokens (lower-case, dotted, no wildcard) on `|`-prefixed
-   rows. Prose mentions of other dotted names (Validate stages, module
-   paths) are deliberately out of scope — only the table is
-   authoritative. *)
-let doc_points doc =
-  let is_point s =
-    String.contains s '.'
-    && (not (String.contains s '*'))
-    && s <> ""
-    && String.for_all
-         (function 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true | _ -> false)
-         s
-  in
+(* [Ok [(cell, line)]] for the backticked cells satisfying [keep] on
+   the `|`-table rows of [doc] — across the doc, or only below the
+   `## ` heading that starts with [section] ([Error section] when the
+   doc has no such heading). Prose mentions stay out of scope: only
+   the tables are authoritative. *)
+let table_cells section ~keep doc =
+  let found = ref (section = None) and inside = ref (section = None) in
   let out = ref [] in
   List.iteri
     (fun k line ->
-      if String.length line > 0 && line.[0] = '|' then begin
-        let n = String.length line in
-        let i = ref 0 in
-        while !i < n do
-          if line.[!i] = '`' then begin
-            let j = ref (!i + 1) in
-            while !j < n && line.[!j] <> '`' do
-              incr j
-            done ;
-            if !j < n then begin
-              let tok = String.sub line (!i + 1) (!j - !i - 1) in
-              if is_point tok then out := (tok, k + 1) :: !out ;
-              i := !j + 1
-            end
-            else i := !j
-          end
-          else incr i
-        done
-      end)
+      match section with
+      | Some heading when String.starts_with ~prefix:heading line ->
+        found := true ;
+        inside := true
+      | Some _ when String.starts_with ~prefix:"## " line -> inside := false
+      | _ when !inside && String.starts_with ~prefix:"|" line ->
+        (* odd pieces are backticked; the last has no closing tick *)
+        let pieces = String.split_on_char '`' line in
+        let last = List.length pieces - 1 in
+        List.iteri
+          (fun i cell ->
+            if i mod 2 = 1 && i < last && keep cell then
+              out := (cell, k + 1) :: !out)
+          pieces
+      | _ -> ())
     (String.split_on_char '\n' doc) ;
-  List.rev !out
+  match section with
+  | Some heading when not !found -> Error heading
+  | _ -> Ok (List.rev !out)
 
-let check_fault_points ~root ~sources =
-  let doc_rel = "docs/ROBUSTNESS.md" in
-  let doc_path = Filename.concat root doc_rel in
-  if not (Sys.file_exists doc_path) then
-    [ Diag.make Diag.E202 ~where:doc_rel
-        "fault-point catalogue %s is missing" doc_rel ]
+(* How a doc lists its names. *)
+type listing =
+  | Table of string option
+      (* backticked table cells, across the doc or in one section *)
+  | Quoted of string  (* names quoted after a token; see quoted_after *)
+
+(* One doc <-> code rule: the names the code defines must be exactly
+   the names [doc] lists, each direction with its own code. *)
+type catalogue = {
+  doc : string;  (* root-relative; an .ml file is read comment-stripped *)
+  listing : listing;
+  keep : string -> bool;  (* which listed tokens are names *)
+  what : string;  (* what a name is, for the messages *)
+  defined : (string * string) list;  (* name -> where the code has it *)
+  undocumented : Diag.code;  (* a defined name the doc does not list *)
+  stale : Diag.code;  (* no doc or section, or a name nothing defines *)
+}
+
+let check_catalogue root c =
+  let path = Filename.concat root c.doc in
+  if not (Sys.file_exists path) then
+    [ Diag.make c.stale ~where:c.doc "%s is missing: it must list every %s"
+        c.doc c.what ]
   else begin
-    let doc = read_file doc_path in
-    let documented = doc_points doc in
-    let in_code =
-      List.concat_map
-        (fun (rel, text) -> fault_points_in rel text)
-        sources
+    let text = read_file path in
+    let text =
+      if Filename.check_suffix c.doc ".ml" then strip ~keep_strings:true text
+      else text
     in
-    let undocumented =
-      List.filter
-        (fun (name, _) -> not (List.mem_assoc name documented))
-        in_code
+    let listed =
+      match c.listing with
+      | Table section -> table_cells section ~keep:c.keep text
+      | Quoted token ->
+        Ok (List.filter (fun (s, _) -> c.keep s) (quoted_after token text))
     in
-    let phantom =
-      List.filter
-        (fun (name, _) -> not (List.exists (fun (n, _) -> n = name) in_code))
-        documented
-    in
-    List.map
-      (fun (name, where) ->
-        Diag.make Diag.E201 ~where
-          "fault point %S is not documented in %s" name doc_rel)
-      undocumented
-    @ List.map
-        (fun (name, line) ->
-          Diag.make Diag.E202
-            ~where:(Printf.sprintf "%s:%d" doc_rel line)
-            "documented fault point %S does not appear in lib/ or bin/" name)
-        phantom
+    match listed with
+    | Error heading ->
+      [ Diag.make c.stale ~where:c.doc
+          "%s has no %S section: it must list every %s" c.doc heading c.what ]
+    | Ok listed ->
+      let listed_in =
+        match c.listing with
+        | Table None -> c.doc
+        | Table (Some heading) -> c.doc ^ " under " ^ heading
+        | Quoted token -> Printf.sprintf "%s as %s \"...\"" c.doc token
+      in
+      List.filter_map
+        (fun (name, where) ->
+          if List.mem_assoc name listed then None
+          else
+            Some
+              (Diag.make c.undocumented ~where "%s %S is not documented in %s"
+                 c.what name listed_in))
+        c.defined
+      @ List.filter_map
+          (fun (name, line) ->
+            if List.mem_assoc name c.defined then None
+            else
+              Some
+                (Diag.make c.stale
+                   ~where:(Printf.sprintf "%s:%d" c.doc line)
+                   "%s lists %s %S, which the code does not define" c.doc
+                   c.what name))
+          listed
   end
 
-(* ---- rule E203: protocol ops vs parser vs docs/SERVING.md ---- *)
+let lower_word extra s =
+  s <> ""
+  && String.for_all
+       (function
+         | 'a' .. 'z' | '0' .. '9' | '_' -> true
+         | ch -> String.contains extra ch)
+       s
 
-let check_protocol_ops ~root ~ops =
-  let doc_rel = "docs/SERVING.md" in
-  let doc_path = Filename.concat root doc_rel in
-  let proto_rel = "lib/serve/protocol.ml" in
-  let proto_path = Filename.concat root proto_rel in
-  let missing_file rel =
-    [ Diag.make Diag.E203 ~where:rel "protocol reference %s is missing" rel ]
+let is_point s = String.contains s '.' && lower_word "." s
+let is_module s = Filename.check_suffix s ".ml" && lower_word "./" s
+
+let is_node s =
+  s <> ""
+  && (match s.[0] with 'A' .. 'Z' -> true | _ -> false)
+  && String.for_all ident_char s
+
+(* Every doc <-> code rule as one row. [sources] keep string literals
+   (fault-point names), [sources_bare] drop them (unsafe tokens). *)
+let catalogues cfg ~sources ~sources_bare =
+  let at doc names = List.map (fun name -> (name, doc)) names in
+  let fault_points =
+    List.concat_map
+      (fun (rel, text) ->
+        List.map
+          (fun (name, line) -> (name, Printf.sprintf "%s:%d" rel line))
+          (quoted_after fault_point_token text))
+      sources
   in
-  if not (Sys.file_exists doc_path) then missing_file doc_rel
-  else if not (Sys.file_exists proto_path) then missing_file proto_rel
-  else begin
-    let doc = read_file doc_path in
-    let proto = strip ~keep_strings:true (read_file proto_path) in
-    (* wire examples in the doc: "op":"NAME" (optionally spaced) *)
-    let doc_ops =
-      List.concat_map
-        (fun pat ->
-          List.map
-            (fun off ->
-              let start = off + String.length pat in
-              let k = ref start in
-              let n = String.length doc in
-              while !k < n && doc.[!k] <> '"' do
-                incr k
-              done ;
-              (String.sub doc start (!k - start), line_at doc off))
-            (let out = ref [] and i = ref 0 in
-             let pl = String.length pat and n = String.length doc in
-             while !i + pl <= n do
-               if String.sub doc !i pl = pat then out := !i :: !out ;
-               incr i
-             done ;
-             List.rev !out))
-        [ {|"op":"|}; {|"op": "|} ]
-    in
-    let undocumented =
-      List.filter (fun op -> not (List.mem_assoc op doc_ops)) ops
-    in
-    let phantom =
-      List.filter (fun (op, _) -> not (List.mem op ops)) doc_ops
-    in
-    let unparsed =
-      (* every op must have its parser case: Some "NAME" *)
-      List.filter
-        (fun op ->
-          token_offsets proto (Printf.sprintf "Some %S" op) = [])
-        ops
-    in
-    List.map
-      (fun op ->
-        Diag.make Diag.E203 ~where:doc_rel
-          "protocol op %S has no wire example in %s" op doc_rel)
-      undocumented
-    @ List.map
-        (fun (op, line) ->
-          Diag.make Diag.E203
-            ~where:(Printf.sprintf "%s:%d" doc_rel line)
-            "documented op %S is not in Protocol.op_names" op)
-        phantom
-    @ List.map
-        (fun op ->
-          Diag.make Diag.E203 ~where:proto_rel
-            "protocol op %S has no parser case (Some %S) in %s" op op
-            proto_rel)
-        unparsed
-  end
+  let unsafe_uses =
+    List.concat_map
+      (fun (rel, text) ->
+        List.concat_map
+          (fun tok ->
+            List.map
+              (fun off -> (rel, Printf.sprintf "%s:%d" rel (line_at text off)))
+              (token_offsets text tok))
+          unsafe_tokens)
+      sources_bare
+  in
+  let robustness = "docs/ROBUSTNESS.md" and serving = "docs/SERVING.md" in
+  let protocol = "lib/serve/protocol.ml" in
+  [ { doc = robustness;
+      listing = Table None;
+      keep = is_point;
+      what = "fault point";
+      defined = fault_points;
+      undocumented = Diag.E201;
+      stale = Diag.E202
+    };
+    { doc = serving;
+      listing = Quoted {|"op":|};
+      keep = Fun.const true;
+      what = "protocol op";
+      defined = at serving cfg.protocol_ops;
+      undocumented = Diag.E203;
+      stale = Diag.E203
+    };
+    (* Some "x" also matches strings that are not ops: only op names
+       count as parser cases, so a case cannot be stale *)
+    { doc = protocol;
+      listing = Quoted "Some";
+      keep = (fun s -> List.mem s cfg.protocol_ops);
+      what = "protocol op";
+      defined = at protocol cfg.protocol_ops;
+      undocumented = Diag.E203;
+      stale = Diag.E203
+    };
+    (* a module that dropped its unsafe indexing loses its row rather
+       than keeping a blanket license *)
+    { doc = "docs/ANALYSIS.md";
+      listing = Table (Some "## Sanctioned unsafe-indexing modules");
+      keep = is_module;
+      what = "unsafe-indexing module";
+      defined = unsafe_uses;
+      undocumented = Diag.E207;
+      stale = Diag.E207
+    };
+    { doc = "docs/REWRITE_RULES.md";
+      listing = Table (Some "## Relational operators");
+      keep = is_node;
+      what = "relational node";
+      defined = at "docs/REWRITE_RULES.md" cfg.relational_nodes;
+      undocumented = Diag.E206;
+      stale = Diag.E206
+    };
+    { doc = serving;
+      listing = Table (Some "## Routed operations");
+      keep = lower_word "";
+      what = "routed op";
+      defined = at serving cfg.router_ops;
+      undocumented = Diag.E208;
+      stale = Diag.E208
+    };
+    (* the global row above sees these points too; this one pins them
+       to the cluster section *)
+    { doc = robustness;
+      listing = Table (Some "## Cluster fault points");
+      keep = is_point;
+      what = "cluster fault point";
+      defined =
+        List.filter
+          (fun (_, where) -> String.starts_with ~prefix:"lib/cluster/" where)
+          fault_points;
+      undocumented = Diag.E208;
+      stale = Diag.E208
+    }
+  ]
 
 (* ---- rule E204: raw primitives outside sanctioned modules ---- *)
 
@@ -405,341 +471,6 @@ let check_primitives ~sources_bare =
         sanctioned)
     sources_bare
 
-(* ---- rule E206: relational Ast nodes vs docs/REWRITE_RULES.md ---- *)
-
-let relational_heading = "## Relational operators"
-
-(* The documented node names are the backticked bare capitalized
-   identifiers on the `|`-table rows of the dedicated section — dotted
-   paths (`Relalg.filter`), formulas, and prose mentions of diagnostic
-   codes stay out of scope, exactly like the ROBUSTNESS table scan
-   above. *)
-let doc_relational_nodes doc =
-  let out = ref [] and in_section = ref false in
-  List.iteri
-    (fun k line ->
-      if String.starts_with ~prefix:relational_heading line then
-        in_section := true
-      else if String.starts_with ~prefix:"## " line then in_section := false
-      else if !in_section && String.starts_with ~prefix:"|" line then begin
-        let n = String.length line in
-        let i = ref 0 in
-        while !i < n do
-          if line.[!i] = '`' then begin
-            let j = ref (!i + 1) in
-            while !j < n && line.[!j] <> '`' do
-              incr j
-            done ;
-            if !j < n then begin
-              let tok = String.sub line (!i + 1) (!j - !i - 1) in
-              if
-                tok <> ""
-                && (match tok.[0] with 'A' .. 'Z' -> true | _ -> false)
-                && String.for_all ident_char tok
-              then out := (tok, k + 1) :: !out ;
-              i := !j + 1
-            end
-            else i := !j
-          end
-          else incr i
-        done
-      end)
-    (String.split_on_char '\n' doc) ;
-  List.rev !out
-
-let check_relational_nodes ~root ~nodes =
-  if nodes = [] then []
-  else begin
-    let doc_rel = "docs/REWRITE_RULES.md" in
-    let doc_path = Filename.concat root doc_rel in
-    if not (Sys.file_exists doc_path) then
-      [ Diag.make Diag.E206 ~where:doc_rel
-          "relational-operator catalogue %s is missing" doc_rel ]
-    else begin
-      let doc = read_file doc_path in
-      let has_section =
-        List.exists
-          (String.starts_with ~prefix:relational_heading)
-          (String.split_on_char '\n' doc)
-      in
-      if not has_section then
-        [ Diag.make Diag.E206 ~where:doc_rel
-            "%s has no %S section documenting the relational Ast nodes"
-            doc_rel relational_heading ]
-      else begin
-        let documented = doc_relational_nodes doc in
-        List.map
-          (fun node ->
-            Diag.make Diag.E206 ~where:doc_rel
-              "relational node %s is not documented under %S in %s" node
-              relational_heading doc_rel)
-          (List.filter (fun n -> not (List.mem_assoc n documented)) nodes)
-        @ List.map
-            (fun (node, line) ->
-              Diag.make Diag.E206
-                ~where:(Printf.sprintf "%s:%d" doc_rel line)
-                "documented relational node %s is not an Ast constructor" node)
-            (List.filter (fun (n, _) -> not (List.mem n nodes)) documented)
-      end
-    end
-  end
-
-(* ---- rule E207: unsafe indexing outside the sanctioned kernels ---- *)
-
-let unsafe_heading = "## Sanctioned unsafe-indexing modules"
-let unsafe_tokens = [ "Array.unsafe_get"; "Array.unsafe_set" ]
-
-(* The catalogue is the backticked root-relative `.ml` paths on the
-   `|`-table rows of the dedicated docs/ANALYSIS.md section — same
-   table-only scope as the ROBUSTNESS and REWRITE_RULES scans. *)
-let doc_unsafe_modules doc =
-  let is_module s =
-    Filename.check_suffix s ".ml"
-    && String.for_all
-         (function
-           | 'a' .. 'z' | '0' .. '9' | '_' | '.' | '/' -> true
-           | _ -> false)
-         s
-  in
-  let out = ref [] and in_section = ref false in
-  List.iteri
-    (fun k line ->
-      if String.starts_with ~prefix:unsafe_heading line then in_section := true
-      else if String.starts_with ~prefix:"## " line then in_section := false
-      else if !in_section && String.starts_with ~prefix:"|" line then begin
-        let n = String.length line in
-        let i = ref 0 in
-        while !i < n do
-          if line.[!i] = '`' then begin
-            let j = ref (!i + 1) in
-            while !j < n && line.[!j] <> '`' do
-              incr j
-            done ;
-            if !j < n then begin
-              let tok = String.sub line (!i + 1) (!j - !i - 1) in
-              if is_module tok then out := (tok, k + 1) :: !out ;
-              i := !j + 1
-            end
-            else i := !j
-          end
-          else incr i
-        done
-      end)
-    (String.split_on_char '\n' doc) ;
-  List.rev !out
-
-(* Both directions, like E201/E202: every raw [Array.unsafe_get/set]
-   token (comment- and string-stripped text) must sit in a module the
-   table sanctions, and every sanctioned module must still earn its row
-   — a file that dropped its unsafe indexing loses the exemption
-   rather than silently keeping a blanket license. *)
-let check_unsafe_indexing ~root ~sources_bare =
-  let doc_rel = "docs/ANALYSIS.md" in
-  let doc_path = Filename.concat root doc_rel in
-  if not (Sys.file_exists doc_path) then
-    [ Diag.make Diag.E207 ~where:doc_rel
-        "unsafe-indexing catalogue %s is missing" doc_rel ]
-  else begin
-    let doc = read_file doc_path in
-    let has_section =
-      List.exists
-        (String.starts_with ~prefix:unsafe_heading)
-        (String.split_on_char '\n' doc)
-    in
-    if not has_section then
-      [ Diag.make Diag.E207 ~where:doc_rel
-          "%s has no %S table sanctioning the unsafe-indexing kernels"
-          doc_rel unsafe_heading ]
-    else begin
-      let sanctioned = doc_unsafe_modules doc in
-      let offenders =
-        List.concat_map
-          (fun (rel, text) ->
-            if List.mem_assoc rel sanctioned then []
-            else
-              List.concat_map
-                (fun tok ->
-                  List.map
-                    (fun off ->
-                      Diag.make Diag.E207
-                        ~where:(Printf.sprintf "%s:%d" rel (line_at text off))
-                        "raw %s outside the sanctioned kernel modules of %s \
-                         (bounds-checked indexing, or earn a table row)"
-                        tok doc_rel)
-                    (token_offsets text tok))
-                unsafe_tokens)
-          sources_bare
-      in
-      let stale =
-        List.filter_map
-          (fun (m, line) ->
-            let where = Printf.sprintf "%s:%d" doc_rel line in
-            match List.assoc_opt m sources_bare with
-            | None ->
-              Some
-                (Diag.make Diag.E207 ~where
-                   "sanctioned module %s does not exist under lib/ or bin/" m)
-            | Some text ->
-              if
-                List.exists (fun tok -> token_offsets text tok <> [])
-                  unsafe_tokens
-              then None
-              else
-                Some
-                  (Diag.make Diag.E207 ~where
-                     "sanctioned module %s no longer uses unsafe indexing \
-                      (drop its table row)"
-                     m))
-          sanctioned
-      in
-      offenders @ stale
-    end
-  end
-
-(* ---- rule E208: cluster routed ops + fault points vs the docs ---- *)
-
-let routed_heading = "## Routed operations"
-let cluster_fault_heading = "## Cluster fault points"
-
-(* Backticked tokens satisfying [keep] on the `|`-table rows of the
-   section opened by [heading] — the same table-only scope as the
-   E206/E207 scans. *)
-let section_tokens ~heading ~keep doc =
-  let out = ref [] and in_section = ref false in
-  List.iteri
-    (fun k line ->
-      if String.starts_with ~prefix:heading line then in_section := true
-      else if String.starts_with ~prefix:"## " line then in_section := false
-      else if !in_section && String.starts_with ~prefix:"|" line then begin
-        let n = String.length line in
-        let i = ref 0 in
-        while !i < n do
-          if line.[!i] = '`' then begin
-            let j = ref (!i + 1) in
-            while !j < n && line.[!j] <> '`' do
-              incr j
-            done ;
-            if !j < n then begin
-              let tok = String.sub line (!i + 1) (!j - !i - 1) in
-              if keep tok then out := (tok, k + 1) :: !out ;
-              i := !j + 1
-            end
-            else i := !j
-          end
-          else incr i
-        done
-      end)
-    (String.split_on_char '\n' doc) ;
-  List.rev !out
-
-let has_section ~heading doc =
-  List.exists (String.starts_with ~prefix:heading) (String.split_on_char '\n' doc)
-
-(* Both directions on both tables: the routed ops the router module
-   exports vs the SERVING.md "Routed operations" table, and the fault
-   points armed in lib/cluster/ vs the ROBUSTNESS.md "Cluster fault
-   points" table. (The cluster points also appear to the global
-   E201/E202 scan, which reads every table row of ROBUSTNESS.md; this
-   rule additionally pins them to the cluster-specific section.) *)
-let check_cluster ~root ~router_ops ~sources =
-  if router_ops = [] then []
-  else begin
-    let serving_rel = "docs/SERVING.md" in
-    let robust_rel = "docs/ROBUSTNESS.md" in
-    let op_diags =
-      let path = Filename.concat root serving_rel in
-      if not (Sys.file_exists path) then
-        [ Diag.make Diag.E208 ~where:serving_rel
-            "routed-operation catalogue %s is missing" serving_rel ]
-      else begin
-        let doc = read_file path in
-        if not (has_section ~heading:routed_heading doc) then
-          [ Diag.make Diag.E208 ~where:serving_rel
-              "%s has no %S table documenting the router's forwarded ops"
-              serving_rel routed_heading ]
-        else begin
-          let is_op s =
-            s <> ""
-            && String.for_all
-                 (function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false)
-                 s
-          in
-          let documented = section_tokens ~heading:routed_heading ~keep:is_op doc in
-          List.map
-            (fun op ->
-              Diag.make Diag.E208 ~where:serving_rel
-                "routed op %S is not documented under %S in %s" op
-                routed_heading serving_rel)
-            (List.filter (fun op -> not (List.mem_assoc op documented)) router_ops)
-          @ List.map
-              (fun (op, line) ->
-                Diag.make Diag.E208
-                  ~where:(Printf.sprintf "%s:%d" serving_rel line)
-                  "documented routed op %S is not in Router.routed_op_names" op)
-              (List.filter
-                 (fun (op, _) -> not (List.mem op router_ops))
-                 documented)
-        end
-      end
-    in
-    let fault_diags =
-      let path = Filename.concat root robust_rel in
-      if not (Sys.file_exists path) then
-        [ Diag.make Diag.E208 ~where:robust_rel
-            "cluster fault-point catalogue %s is missing" robust_rel ]
-      else begin
-        let doc = read_file path in
-        if not (has_section ~heading:cluster_fault_heading doc) then
-          [ Diag.make Diag.E208 ~where:robust_rel
-              "%s has no %S table documenting the lib/cluster fault points"
-              robust_rel cluster_fault_heading ]
-        else begin
-          let is_point s =
-            String.contains s '.'
-            && (not (String.contains s '*'))
-            && s <> ""
-            && String.for_all
-                 (function
-                   | 'a' .. 'z' | '0' .. '9' | '_' | '.' -> true
-                   | _ -> false)
-                 s
-          in
-          let documented =
-            section_tokens ~heading:cluster_fault_heading ~keep:is_point doc
-          in
-          let in_cluster =
-            List.concat_map
-              (fun (rel, text) ->
-                if String.starts_with ~prefix:"lib/cluster/" rel then
-                  fault_points_in rel text
-                else [])
-              sources
-          in
-          List.map
-            (fun (name, where) ->
-              Diag.make Diag.E208 ~where
-                "cluster fault point %S is not documented under %S in %s" name
-                cluster_fault_heading robust_rel)
-            (List.filter
-               (fun (name, _) -> not (List.mem_assoc name documented))
-               in_cluster)
-          @ List.map
-              (fun (name, line) ->
-                Diag.make Diag.E208
-                  ~where:(Printf.sprintf "%s:%d" robust_rel line)
-                  "documented cluster fault point %S does not appear in \
-                   lib/cluster/"
-                  name)
-              (List.filter
-                 (fun (name, _) ->
-                   not (List.exists (fun (n, _) -> n = name) in_cluster))
-                 documented)
-        end
-      end
-    in
-    op_diags @ fault_diags
-  end
-
 (* ---- rule E205: diagnostic-code uniqueness across catalogues ---- *)
 
 let check_codes ~catalogues =
@@ -772,10 +503,7 @@ let run cfg =
   let sources_bare =
     List.map (fun (rel, src) -> (rel, strip ~keep_strings:false src)) raw
   in
-  check_fault_points ~root:cfg.root ~sources
-  @ check_protocol_ops ~root:cfg.root ~ops:cfg.protocol_ops
+  List.concat_map (check_catalogue cfg.root)
+    (catalogues cfg ~sources ~sources_bare)
   @ check_primitives ~sources_bare
-  @ check_unsafe_indexing ~root:cfg.root ~sources_bare
   @ check_codes ~catalogues:cfg.catalogues
-  @ check_relational_nodes ~root:cfg.root ~nodes:cfg.relational_nodes
-  @ check_cluster ~root:cfg.root ~router_ops:cfg.router_ops ~sources

@@ -22,19 +22,22 @@
       vs the "Cluster fault points" table of [docs/ROBUSTNESS.md],
       both directions.
 
+    Every rule but E204/E205 compares the names the code defines with
+    the names a doc lists; a missing doc or section is itself a
+    finding.
+
     The lint sits at the bottom of the library order, next to {!Sync}:
     facts owned by higher layers (the protocol-op list, the diagnostic
-    catalogues) are passed in by the CLI rather than depended upon. *)
+    catalogues, the relational nodes, the routed ops) are passed in by
+    the CLI rather than depended upon. *)
 
 type config = {
   root : string;  (** repo root; [lib/], [bin/], [docs/] live under it *)
   protocol_ops : string list;  (** [Protocol.op_names] *)
   catalogues : (string * string list) list;
       (** catalogue name → its diagnostic code names *)
-  relational_nodes : string list;
-      (** [Ast.relational_node_names]; [[]] disables rule E206 *)
-  router_ops : string list;
-      (** [Router.routed_op_names]; [[]] disables rule E208 *)
+  relational_nodes : string list;  (** [Ast.relational_node_names] *)
+  router_ops : string list;  (** [Router.routed_op_names] *)
 }
 
 val run : config -> Diag.t list

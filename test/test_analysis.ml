@@ -232,14 +232,36 @@ let write_file path contents =
   output_string oc contents ;
   close_out oc
 
-(* Minimal E207 catalogue: the section exists and sanctions nothing,
-   so a fixture is clean iff it has no unsafe indexing at all. *)
+(* The fixture documents every catalogue: the fault-point table with its
+   cluster section, the wire examples with the routed-op table, the
+   relational table, and an unsafe-indexing table that sanctions
+   nothing, so a fixture is clean iff it has no unsafe indexing. *)
+let fault_table = "| point | boundary |\n|---|---|\n| `io.read` | file I/O |\n"
+
+let cluster_section =
+  "\n## Cluster fault points\n\n| point | boundary |\n|---|---|\n\
+   | `router.forward` | shard dial |\n"
+
+let wire_examples =
+  "Requests:\n```\n{\"op\":\"ping\"}\n{\"op\":\"score\",\"model\":\"m\"}\n```\n"
+
+let routed_section =
+  "\n## Routed operations\n\n| op | fan-out |\n|---|---|\n\
+   | `score` | one shard by key |\n| `health` | every shard |\n"
+
 let default_analysis =
   "# Analyzer\n\n## Sanctioned unsafe-indexing modules\n\n\
    | module | why |\n|---|---|\n"
 
-let lint_fixture ?(analysis = default_analysis) ~robustness ~serving ~sources
-    () =
+let rewrite_rules_section =
+  "# Rules\n\n## Relational operators\n\n| node | rewrite |\n|---|---|\n\
+   | `Filter` | masks + select_rows |\n| `Project` | part pruning |\n"
+
+let fault_call name = Printf.sprintf "let f () = Fault.point %S\n" name
+
+let lint_fixture ?(robustness = fault_table ^ cluster_section)
+    ?(serving = wire_examples ^ routed_section) ?(analysis = default_analysis)
+    ?(rewrite_rules = rewrite_rules_section) ?(extra_sources = []) () =
   let root =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "morpheus_lint_%d" (Unix.getpid ()))
@@ -257,37 +279,48 @@ let lint_fixture ?(analysis = default_analysis) ~robustness ~serving ~sources
   write_file (Filename.concat root "docs/ROBUSTNESS.md") robustness ;
   write_file (Filename.concat root "docs/SERVING.md") serving ;
   write_file (Filename.concat root "docs/ANALYSIS.md") analysis ;
+  write_file (Filename.concat root "docs/REWRITE_RULES.md") rewrite_rules ;
   List.iter
     (fun (rel, src) -> write_file (Filename.concat root rel) src)
-    sources ;
+    ([ ("lib/core/io.ml", fault_call "io.read");
+       ( "lib/serve/protocol.ml",
+         "let parse = function Some \"ping\" -> 1 | Some \"score\" -> 2\n" );
+       ("lib/cluster/router.ml", fault_call "router.forward")
+     ]
+    @ extra_sources) ;
   root
 
 let base_cfg root =
   { Lint.root;
     protocol_ops = [ "ping"; "score" ];
     catalogues = [ ("Check", [ "E001" ]); ("Analysis", [ "E101" ]) ];
-    relational_nodes = [];
-    router_ops = []
+    relational_nodes = [ "Filter"; "Project" ];
+    router_ops = [ "score"; "health" ]
   }
 
-let fault_call name = Printf.sprintf "let f () = Fault.point %S\n" name
-
-let clean_fixture () =
-  lint_fixture
-    ~robustness:"| point | boundary |\n|---|---|\n| `io.read` | file I/O |\n"
-    ~serving:
-      "Requests:\n```\n{\"op\":\"ping\"}\n{\"op\":\"score\",\"model\":\"m\"}\n```\n"
-    ~sources:
-      [ ("lib/core/io.ml", fault_call "io.read");
-        ( "lib/serve/protocol.ml",
-          "let parse = function Some \"ping\" -> 1 | Some \"score\" -> 2\n" )
-      ]
-    ()
+let clean_fixture () = lint_fixture ()
 
 let test_lint_clean () =
   let root = clean_fixture () in
   Alcotest.(check (list string)) "clean tree has no findings" []
     (codes (Lint.run (base_cfg root)))
+
+(* Deleting a catalogue file is drift for every rule that reads it, and
+   for no other rule. *)
+let test_lint_catalogue_deleted () =
+  List.iter
+    (fun (rel, expected) ->
+      let root = clean_fixture () in
+      Sys.remove (Filename.concat root rel) ;
+      Alcotest.(check (list string))
+        (rel ^ " deleted") expected
+        (List.sort compare (codes (Lint.run (base_cfg root)))))
+    [ ("docs/ROBUSTNESS.md", [ "E202"; "E208" ]);
+      ("docs/SERVING.md", [ "E203"; "E208" ]);
+      ("docs/REWRITE_RULES.md", [ "E206" ]);
+      ("docs/ANALYSIS.md", [ "E207" ]);
+      ("lib/serve/protocol.ml", [ "E203" ])
+    ]
 
 let test_lint_undocumented_fault_point () =
   let root = clean_fixture () in
@@ -302,14 +335,9 @@ let test_lint_phantom_doc_point () =
   let root =
     lint_fixture
       ~robustness:
-        "| point | boundary |\n|---|---|\n| `io.read`, `io.gone` | io |\n"
-      ~serving:"```\n{\"op\":\"ping\"}\n{\"op\":\"score\"}\n```\n"
-      ~sources:
-        [ ("lib/core/io.ml", fault_call "io.read");
-          ( "lib/serve/protocol.ml",
-            "let parse = function Some \"ping\" -> 1 | Some \"score\" -> 2\n" )
-        ]
-        ()
+        ("| point | boundary |\n|---|---|\n| `io.read`, `io.gone` | io |\n"
+        ^ cluster_section)
+      ()
   in
   ignore (find_code "E202" (Lint.run (base_cfg root)))
 
@@ -322,6 +350,16 @@ let test_lint_undocumented_op () =
   Alcotest.(check int) "doc miss and parser miss" 2
     (List.length
        (List.filter (fun (d : Diag.t) -> d.Diag.code = Diag.E203) findings))
+
+let test_lint_spaced_wire_example () =
+  let root =
+    lint_fixture
+      ~serving:
+        ("```\n{\"op\":\"ping\"}\n{\"op\": \"score\"}\n```\n" ^ routed_section)
+      ()
+  in
+  Alcotest.(check (list string)) "a spaced example documents its op" []
+    (codes (Lint.run (base_cfg root)))
 
 let test_lint_raw_primitives () =
   let root = clean_fixture () in
@@ -343,22 +381,21 @@ let test_lint_raw_primitives () =
          && String.sub d.Diag.where 0 13 = "lib/la/bad.ml")
        e204)
 
-let rewrite_rules_section =
-  "# Rules\n\n## Relational operators\n\n| node | rewrite |\n|---|---|\n\
-   | `Filter` | masks + select_rows |\n| `Project` | part pruning |\n"
-
 let test_lint_relational_nodes_clean () =
-  let root = clean_fixture () in
-  write_file (Filename.concat root "docs/REWRITE_RULES.md") rewrite_rules_section ;
-  let cfg =
-    { (base_cfg root) with Lint.relational_nodes = [ "Filter"; "Project" ] }
+  (* dotted code paths on the table's rows and prose mentions outside
+     the table are not nodes *)
+  let root =
+    lint_fixture
+      ~rewrite_rules:
+        (rewrite_rules_section
+        ^ "| `Relalg.filter` | code path |\n\nProse about `Ghost`.\n")
+      ()
   in
   Alcotest.(check (list string)) "documented nodes are clean" []
-    (codes (Lint.run cfg))
+    (codes (Lint.run (base_cfg root)))
 
 let test_lint_relational_node_undocumented () =
   let root = clean_fixture () in
-  write_file (Filename.concat root "docs/REWRITE_RULES.md") rewrite_rules_section ;
   let cfg =
     { (base_cfg root) with
       Lint.relational_nodes = [ "Filter"; "Project"; "Group_agg" ]
@@ -369,27 +406,20 @@ let test_lint_relational_node_undocumented () =
     (has_substring d.Diag.message "Group_agg")
 
 let test_lint_relational_node_phantom () =
-  let root = clean_fixture () in
-  write_file
-    (Filename.concat root "docs/REWRITE_RULES.md")
-    (rewrite_rules_section ^ "| `Ghost` | does not exist |\n") ;
-  let cfg =
-    { (base_cfg root) with Lint.relational_nodes = [ "Filter"; "Project" ] }
+  let root =
+    lint_fixture
+      ~rewrite_rules:(rewrite_rules_section ^ "| `Ghost` | does not exist |\n")
+      ()
   in
-  let d = find_code "E206" (Lint.run cfg) in
+  let d = find_code "E206" (Lint.run (base_cfg root)) in
   Alcotest.(check bool) "names the phantom node" true
     (has_substring d.Diag.message "Ghost")
 
 let test_lint_relational_section_missing () =
-  let root = clean_fixture () in
-  write_file
-    (Filename.concat root "docs/REWRITE_RULES.md")
-    "# Rules\n\n## Multiplication\n" ;
-  let cfg = { (base_cfg root) with Lint.relational_nodes = [ "Filter" ] } in
-  ignore (find_code "E206" (Lint.run cfg)) ;
-  (* [] disables the rule: the same tree is clean without nodes *)
-  Alcotest.(check (list string)) "empty node list disables E206" []
-    (codes (Lint.run (base_cfg root)))
+  let root =
+    lint_fixture ~rewrite_rules:"# Rules\n\n## Multiplication\n" ()
+  in
+  ignore (find_code "E206" (Lint.run (base_cfg root)))
 
 (* E207 unsafe-indexing discipline, both directions. *)
 
@@ -415,14 +445,7 @@ let test_lint_unsafe_sanctioned_clean () =
   let root =
     lint_fixture
       ~analysis:(sanctioning "| `lib/la/hot.ml` | micro-kernel |\n")
-      ~robustness:"| point | boundary |\n|---|---|\n| `io.read` | io |\n"
-      ~serving:"```\n{\"op\":\"ping\"}\n{\"op\":\"score\"}\n```\n"
-      ~sources:
-        [ ("lib/core/io.ml", fault_call "io.read");
-          ( "lib/serve/protocol.ml",
-            "let parse = function Some \"ping\" -> 1 | Some \"score\" -> 2\n" );
-          ("lib/la/hot.ml", unsafe_src)
-        ]
+      ~extra_sources:[ ("lib/la/hot.ml", unsafe_src) ]
       ()
   in
   Alcotest.(check (list string)) "sanctioned unsafe use is clean" []
@@ -453,38 +476,15 @@ let test_lint_unsafe_section_missing () =
    lib/cluster fault points vs the ROBUSTNESS.md cluster section, both
    directions. *)
 
-let cluster_serving =
-  "Requests:\n```\n{\"op\":\"ping\"}\n{\"op\":\"score\",\"model\":\"m\"}\n```\n\n\
-   ## Routed operations\n\n| op | fan-out |\n|---|---|\n\
-   | `score` | one shard by key |\n| `health` | every shard |\n"
-
-let cluster_robustness =
-  "| point | boundary |\n|---|---|\n| `io.read` | file I/O |\n\n\
-   ## Cluster fault points\n\n| point | boundary |\n|---|---|\n\
-   | `router.forward` | shard dial |\n"
-
-let cluster_fixture ?(serving = cluster_serving)
-    ?(robustness = cluster_robustness) ?(extra_sources = []) () =
-  lint_fixture ~robustness ~serving
-    ~sources:
-      ([ ("lib/core/io.ml", fault_call "io.read");
-         ( "lib/serve/protocol.ml",
-           "let parse = function Some \"ping\" -> 1 | Some \"score\" -> 2\n" );
-         ("lib/cluster/router.ml", fault_call "router.forward")
-       ]
-      @ extra_sources)
-    ()
-
-let cluster_cfg root =
-  { (base_cfg root) with Lint.router_ops = [ "score"; "health" ] }
-
 let test_lint_cluster_clean () =
-  let root = cluster_fixture () in
+  (* router.forward is listed only in the cluster section, which the
+     global E201/E202 table scan reads too *)
+  let root = clean_fixture () in
   Alcotest.(check (list string)) "documented cluster tree is clean" []
-    (codes (Lint.run (cluster_cfg root)))
+    (codes (Lint.run (base_cfg root)))
 
 let test_lint_cluster_undocumented_op () =
-  let root = cluster_fixture () in
+  let root = clean_fixture () in
   let cfg =
     { (base_cfg root) with Lint.router_ops = [ "score"; "health"; "stats" ] }
   in
@@ -494,21 +494,22 @@ let test_lint_cluster_undocumented_op () =
 
 let test_lint_cluster_phantom_op () =
   let root =
-    cluster_fixture
-      ~serving:(cluster_serving ^ "| `drain` | does not exist |\n")
+    lint_fixture
+      ~serving:
+        (wire_examples ^ routed_section ^ "| `drain` | does not exist |\n")
       ()
   in
-  let d = find_code "E208" (Lint.run (cluster_cfg root)) in
+  let d = find_code "E208" (Lint.run (base_cfg root)) in
   Alcotest.(check bool) "names the phantom op" true
     (has_substring d.Diag.message "drain")
 
 let test_lint_cluster_undocumented_point () =
   let root =
-    cluster_fixture
+    lint_fixture
       ~extra_sources:[ ("lib/cluster/extra.ml", fault_call "router.mystery") ]
       ()
   in
-  let findings = Lint.run (cluster_cfg root) in
+  let findings = Lint.run (base_cfg root) in
   let d = find_code "E208" findings in
   Alcotest.(check bool) "names the undocumented point" true
     (has_substring d.Diag.message "router.mystery") ;
@@ -517,26 +518,23 @@ let test_lint_cluster_undocumented_point () =
 
 let test_lint_cluster_phantom_point () =
   let root =
-    cluster_fixture
-      ~robustness:(cluster_robustness ^ "| `router.ghost` | gone |\n")
+    lint_fixture
+      ~robustness:
+        (fault_table ^ cluster_section ^ "| `router.ghost` | gone |\n")
       ()
   in
-  let d = find_code "E208" (Lint.run (cluster_cfg root)) in
+  let d = find_code "E208" (Lint.run (base_cfg root)) in
   Alcotest.(check bool) "names the phantom point" true
     (has_substring d.Diag.message "router.ghost")
 
 let test_lint_cluster_sections_missing () =
-  (* the clean fixture has neither section; with routed ops configured
-     both tables are demanded, without them the tree stays clean *)
-  let root = clean_fixture () in
-  let findings = Lint.run (cluster_cfg root) in
+  let root = lint_fixture ~robustness:fault_table ~serving:wire_examples () in
+  let findings = Lint.run (base_cfg root) in
   let e208 =
     List.filter (fun (d : Diag.t) -> d.Diag.code = Diag.E208) findings
   in
   Alcotest.(check int) "both missing sections are findings" 2
-    (List.length e208) ;
-  Alcotest.(check (list string)) "empty router_ops disables E208" []
-    (codes (Lint.run (base_cfg root)))
+    (List.length e208)
 
 let test_lint_duplicate_codes () =
   let root = clean_fixture () in
@@ -567,12 +565,16 @@ let () =
             test_stack_clean_under_lockdep ] );
       ( "lint",
         [ Alcotest.test_case "clean fixture" `Quick test_lint_clean;
+          Alcotest.test_case "deleted catalogue files" `Quick
+            test_lint_catalogue_deleted;
           Alcotest.test_case "undocumented fault point" `Quick
             test_lint_undocumented_fault_point;
           Alcotest.test_case "phantom documented point" `Quick
             test_lint_phantom_doc_point;
           Alcotest.test_case "undocumented protocol op" `Quick
             test_lint_undocumented_op;
+          Alcotest.test_case "spaced wire example" `Quick
+            test_lint_spaced_wire_example;
           Alcotest.test_case "raw primitives" `Quick test_lint_raw_primitives;
           Alcotest.test_case "duplicate diagnostic codes" `Quick
             test_lint_duplicate_codes;
