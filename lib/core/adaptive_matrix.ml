@@ -4,86 +4,22 @@
    operators). This mirrors Figure 1(c)'s "heuristic decision rule"
    stage sitting in front of the rewrite rules.
 
-   The materialized arm holds a {!Regular_matrix.t} — the wrapper with
-   per-instance invariant cells — so both routes of the rule share the
+   The rule only picks a representation; the operators are the
+   evaluator's one Table-1 dispatch ({!Expr.Matrix}). The materialized
+   arm holds a {!Regular_matrix.t}, so both routes of the rule share the
    memoization layer. *)
-
-open Sparse
-
-type t =
-  | Fact of Normalized.t
-  | Reg of Regular_matrix.t
 
 let of_normalized ?tau ?rho nm =
   match Decision.heuristic ?tau ?rho nm with
-  | Decision.Factorized -> Fact nm
-  | Decision.Materialized -> Reg (Materialize.to_regular nm)
+  | Decision.Factorized -> Expr.Normalized nm
+  | Decision.Materialized -> Expr.Regular (Materialize.to_regular nm)
 
 (* Force one path regardless of the rule (used by benches). *)
-let factorized nm = Fact nm
-let materialized nm = Reg (Materialize.to_regular nm)
+let factorized nm = Expr.Normalized nm
+let materialized nm = Expr.Regular (Materialize.to_regular nm)
 
-let choice = function Fact _ -> Decision.Factorized | Reg _ -> Decision.Materialized
+let choice = function
+  | Expr.Normalized _ -> Decision.Factorized
+  | Expr.Scalar _ | Expr.Regular _ -> Decision.Materialized
 
-(* The public dispatcher stays keyed on the raw Mat.t so existing custom
-   operations keep working; internal operators below dispatch on the
-   wrapper instead to keep its memo. *)
-let lift ff fr = function Fact n -> ff n | Reg r -> fr (Regular_matrix.to_mat r)
-
-let rows = lift Normalized.rows Mat.rows
-let cols = lift Normalized.cols Mat.cols
-
-let scale x = function
-  | Fact n -> Fact (Rewrite.scale x n)
-  | Reg r -> Reg (Regular_matrix.scale x r)
-
-let add_scalar x = function
-  | Fact n -> Fact (Rewrite.add_scalar x n)
-  | Reg r -> Reg (Regular_matrix.add_scalar x r)
-
-let pow t p =
-  match t with
-  | Fact n -> Fact (Rewrite.pow n p)
-  | Reg r -> Reg (Regular_matrix.pow r p)
-
-let map_scalar f = function
-  | Fact n -> Fact (Rewrite.map_scalar f n)
-  | Reg r -> Reg (Regular_matrix.map_scalar f r)
-
-let select_rows t idx =
-  match t with
-  | Fact n -> Fact (Normalized.select_rows n idx)
-  | Reg r -> Reg (Regular_matrix.select_rows r idx)
-
-let row_sums = function
-  | Fact n -> Rewrite.row_sums n
-  | Reg r -> Regular_matrix.row_sums r
-
-let col_sums = function
-  | Fact n -> Rewrite.col_sums n
-  | Reg r -> Regular_matrix.col_sums r
-
-let sum = function Fact n -> Rewrite.sum n | Reg r -> Regular_matrix.sum r
-
-let row_sums_sq = function
-  | Fact n -> Rewrite.row_sums_sq n
-  | Reg r -> Regular_matrix.row_sums_sq r
-
-let lmm t x =
-  match t with Fact n -> Rewrite.lmm n x | Reg r -> Regular_matrix.lmm r x
-
-let rmm x t =
-  match t with Fact n -> Rewrite.rmm x n | Reg r -> Regular_matrix.rmm x r
-
-let tlmm t x =
-  match t with Fact n -> Rewrite.tlmm n x | Reg r -> Regular_matrix.tlmm r x
-
-let crossprod = function
-  | Fact n -> Rewrite.crossprod n
-  | Reg r -> Regular_matrix.crossprod r
-
-let ginv = function Fact n -> Rewrite.ginv n | Reg r -> Regular_matrix.ginv r
-
-let describe = function
-  | Fact n -> Fmt.str "adaptive->factorized: %a" Normalized.pp n
-  | Reg r -> Fmt.str "adaptive->materialized: %s" (Regular_matrix.describe r)
+include Expr.Matrix

@@ -1,11 +1,8 @@
 (** The full Morpheus execution policy (Figure 1(c)): apply the §3.7
     heuristic decision rule once at construction and either keep the
     normalized matrix (factorized operators) or materialize T up front
-    (standard operators). Implements {!Data_matrix.S}, so every ML
-    functor can run behind the rule. *)
-
-open La
-open Sparse
+    (standard operators). The operators are {!Expr.Matrix}, the one
+    Table-1 dispatch, so every ML functor can run behind the rule. *)
 
 type t
 
@@ -23,25 +20,4 @@ val choice : t -> Decision.choice
 
 (** {1 The Data_matrix.S operations} *)
 
-val rows : t -> int
-val cols : t -> int
-val scale : float -> t -> t
-val add_scalar : float -> t -> t
-val pow : t -> float -> t
-val map_scalar : (float -> float) -> t -> t
-val select_rows : t -> int array -> t
-val row_sums : t -> Dense.t
-val col_sums : t -> Dense.t
-val sum : t -> float
-val row_sums_sq : t -> Dense.t
-val lmm : t -> Dense.t -> Dense.t
-val rmm : Dense.t -> t -> Dense.t
-val tlmm : t -> Dense.t -> Dense.t
-val crossprod : t -> Dense.t
-val ginv : t -> Dense.t
-val describe : t -> string
-
-val lift : (Normalized.t -> 'a) -> (Mat.t -> 'a) -> t -> 'a
-(** Dispatch a custom operation on whichever representation is held.
-    The materialized arm is unwrapped to its raw {!Mat.t} — custom
-    operations bypass (but cannot corrupt) the memoized wrapper. *)
+include Data_matrix.S with type t := t

@@ -7,11 +7,12 @@
    Expr's shape inference is a thin wrapper over Check, and Check needs
    the expression type. *)
 
-open Sparse
-
+(* A regular value carries the memoizing {!Regular_matrix.t}, so repeat
+   aggregations and cross-products of one leaf cost zero flops, as they
+   do for a normalized one. *)
 type value =
   | Scalar of float
-  | Regular of Mat.t
+  | Regular of Regular_matrix.t
   | Normalized of Normalized.t
 
 type t =
@@ -47,8 +48,8 @@ let relational_node_names = [ "Filter"; "Project"; "Group_agg" ]
 (* ---- convenience constructors ---- *)
 
 let scalar x = Const (Scalar x)
-let regular m = Const (Regular m)
-let dense d = Const (Regular (Mat.of_dense d))
+let regular m = Const (Regular (Regular_matrix.of_mat m))
+let dense d = Const (Regular (Regular_matrix.of_dense d))
 let normalized n = Const (Normalized n)
 let var name = Var name
 
@@ -65,7 +66,8 @@ let group_agg keys agg e = Group_agg (keys, agg, e)
 
 let rec pp ppf = function
   | Const (Scalar x) -> Fmt.pf ppf "%g" x
-  | Const (Regular m) -> Fmt.pf ppf "[%dx%d]" (Mat.rows m) (Mat.cols m)
+  | Const (Regular m) ->
+    Fmt.pf ppf "[%dx%d]" (Regular_matrix.rows m) (Regular_matrix.cols m)
   | Const (Normalized n) ->
     Fmt.pf ppf "T<%dx%d>" (Normalized.rows n) (Normalized.cols n)
   | Var name -> Fmt.string ppf name
@@ -95,6 +97,30 @@ let to_string e = Fmt.str "%a" pp e
 
 (* ---- algebraic simplification ---- *)
 
+(* Rebuild one node with [f] applied to each of its [children] — the
+   per-constructor rebuild every bottom-up pass shares. *)
+let map_children f e =
+  match e with
+  | Const _ | Var _ -> e
+  | Scale (x, a) -> Scale (x, f a)
+  | Add_scalar (x, a) -> Add_scalar (x, f a)
+  | Pow_scalar (a, p) -> Pow_scalar (f a, p)
+  | Map_scalar (n, g, a) -> Map_scalar (n, g, f a)
+  | Transpose a -> Transpose (f a)
+  | Row_sums a -> Row_sums (f a)
+  | Col_sums a -> Col_sums (f a)
+  | Sum a -> Sum (f a)
+  | Crossprod a -> Crossprod (f a)
+  | Ginv a -> Ginv (f a)
+  | Filter (p, a) -> Filter (p, f a)
+  | Project (cols, a) -> Project (cols, f a)
+  | Group_agg (keys, agg, a) -> Group_agg (keys, agg, f a)
+  | Mult (a, b) -> Mult (f a, f b)
+  | Add (a, b) -> Add (f a, f b)
+  | Sub (a, b) -> Sub (f a, f b)
+  | Mul_elem (a, b) -> Mul_elem (f a, f b)
+  | Div_elem (a, b) -> Div_elem (f a, f b)
+
 (* One bottom-up pass of local rules:
    - (eᵀ)ᵀ → e
    - a·(b·e) → (a·b)·e            (scalar fusion)
@@ -108,29 +134,7 @@ let to_string e = Fmt.str "%a" pp e
                                         when p only reads kept columns)
    - π_cs(π_ds(e)) → π_cs(e)          (projection collapse, cs ⊆ ds). *)
 let rec simplify e =
-  let e =
-    match e with
-    | Const _ | Var _ -> e
-    | Scale (x, e) -> Scale (x, simplify e)
-    | Add_scalar (x, e) -> Add_scalar (x, simplify e)
-    | Pow_scalar (e, p) -> Pow_scalar (simplify e, p)
-    | Map_scalar (n, f, e) -> Map_scalar (n, f, simplify e)
-    | Transpose e -> Transpose (simplify e)
-    | Row_sums e -> Row_sums (simplify e)
-    | Col_sums e -> Col_sums (simplify e)
-    | Sum e -> Sum (simplify e)
-    | Mult (a, b) -> Mult (simplify a, simplify b)
-    | Crossprod e -> Crossprod (simplify e)
-    | Ginv e -> Ginv (simplify e)
-    | Add (a, b) -> Add (simplify a, simplify b)
-    | Sub (a, b) -> Sub (simplify a, simplify b)
-    | Mul_elem (a, b) -> Mul_elem (simplify a, simplify b)
-    | Div_elem (a, b) -> Div_elem (simplify a, simplify b)
-    | Filter (p, e) -> Filter (p, simplify e)
-    | Project (cols, e) -> Project (cols, simplify e)
-    | Group_agg (keys, agg, e) -> Group_agg (keys, agg, simplify e)
-  in
-  match e with
+  match map_children simplify e with
   | Transpose (Transpose e) -> e
   | Scale (x, Scale (y, e)) -> Scale (Stdlib.( *. ) x y, e)
   | Transpose (Scale (x, e)) -> Scale (x, simplify (Transpose e))
@@ -173,7 +177,8 @@ let children = function
 let node_label = function
   | Const (Scalar x) -> Printf.sprintf "const %g" x
   | Const (Regular m) ->
-    Printf.sprintf "const [%dx%d]" (Mat.rows m) (Mat.cols m)
+    Printf.sprintf "const [%dx%d]" (Regular_matrix.rows m)
+      (Regular_matrix.cols m)
   | Const (Normalized n) ->
     Printf.sprintf "normalized T<%dx%d>" (Normalized.rows n)
       (Normalized.cols n)
@@ -237,7 +242,8 @@ let path_string root path =
 let rec equal a b =
   match (a, b) with
   | Const (Scalar x), Const (Scalar y) -> x = y
-  | Const (Regular m1), Const (Regular m2) -> m1 == m2
+  | Const (Regular m1), Const (Regular m2) ->
+    Regular_matrix.to_mat m1 == Regular_matrix.to_mat m2
   | Const (Normalized n1), Const (Normalized n2) -> n1 == n2
   | Var n1, Var n2 -> n1 = n2
   | Scale (x, e1), Scale (y, e2) -> x = y && equal e1 e2

@@ -10,7 +10,9 @@ open Sparse
 
 type value =
   | Scalar of float
-  | Regular of Mat.t
+  | Regular of Regular_matrix.t
+      (** a regular matrix with its memo cells: repeat aggregations and
+          cross-products of one value cost zero flops *)
   | Normalized of Normalized.t
 
 type t =
@@ -94,6 +96,11 @@ val equal : t -> t -> bool
 type path = int list
 
 val children : t -> t list
+
+val map_children : (t -> t) -> t -> t
+(** The node rebuilt with [f] applied to each of its {!children}; leaves
+    are returned unchanged. The shared step of every bottom-up pass
+    ({!simplify}, [Expr.optimize], [Expr.eval_materialized]). *)
 
 val node_label : t -> string
 (** Short operator head for annotations, e.g. ["mult"], ["crossprod"],

@@ -106,7 +106,8 @@ let normalized_density n =
 
 let of_value = function
   | Ast.Scalar _ -> scalar_value
-  | Ast.Regular m ->
+  | Ast.Regular r ->
+    let m = Regular_matrix.to_mat r in
     { shape = Matrix (Some (Mat.rows m), Some (Mat.cols m));
       repr = (if Mat.is_sparse m then R_sparse else R_dense);
       density = Some (mat_density m);

@@ -10,12 +10,13 @@
    shape-inference code path for the evaluator, the optimizer, and the
    plan checker.
 
-   In the R prototype this dispatch is S4 operator overloading; a deep
-   embedding additionally enables the algebraic simplifications of
+   In the R prototype this dispatch is S4 operator overloading, each
+   operator overloaded once; here that once is [Matrix] below, which
+   the ML functors reach through Adaptive_matrix. A deep embedding
+   additionally enables the algebraic simplifications of
    [Ast.simplify] and the chain-order optimization below, which an
    overloading-based design cannot see. *)
 
-open La
 open Sparse
 include Ast
 
@@ -37,28 +38,85 @@ let shape_of ~env e =
   | Ok (Check.Matrix (Some r, Some c)) -> S_mat (r, c)
   | Ok _ -> type_error "unresolved shape for %s" (to_string e)
 
+(* ---- the one Table-1 dispatch ---- *)
+
+(* Every Data_matrix.S operator, dispatched once on the value's
+   representation: a regular operand runs the plain kernels
+   (Regular_matrix, memo cells included), a normalized one the
+   factorized rewrites (Factorized_matrix). The evaluator below and the
+   §3.7 rule (Adaptive_matrix) both run through this table. A scalar is
+   closed under the element-wise scalar operators, has one row and one
+   column, and is its own sum; every other operator needs a matrix. *)
+module Matrix = struct
+  module R = Regular_matrix
+  module F = Factorized_matrix
+
+  type t = value
+
+  (* One row of the table: its scalar, regular and normalized arm. *)
+  let dispatch fs fr fn = function
+    | Scalar x -> fs x
+    | Regular r -> fr r
+    | Normalized n -> fn n
+
+  (* A row whose result keeps the operand's representation (§3.2). *)
+  let closed fs fr fn =
+    dispatch
+      (fun x -> Scalar (fs x))
+      (fun r -> Regular (fr r))
+      (fun n -> Normalized (fn n))
+
+  let no_scalar name _ = type_error "%s of scalar" name
+
+  let rows = dispatch (Fun.const 1) R.rows F.rows
+  let cols = dispatch (Fun.const 1) R.cols F.cols
+  let scale x = closed (Stdlib.( *. ) x) (R.scale x) (F.scale x)
+  let add_scalar x = closed (( +. ) x) (R.add_scalar x) (F.add_scalar x)
+
+  let pow v p =
+    closed (fun y -> y ** p) (fun r -> R.pow r p) (fun n -> F.pow n p) v
+
+  let map_scalar f = closed f (R.map_scalar f) (F.map_scalar f)
+
+  let select_rows v idx =
+    closed (no_scalar "row selection")
+      (fun r -> R.select_rows r idx)
+      (fun n -> F.select_rows n idx)
+      v
+
+  let row_sums = dispatch (no_scalar "rowSums") R.row_sums F.row_sums
+  let col_sums = dispatch (no_scalar "colSums") R.col_sums F.col_sums
+  let sum = dispatch Fun.id R.sum F.sum
+
+  let row_sums_sq =
+    dispatch (no_scalar "rowSums of squares") R.row_sums_sq F.row_sums_sq
+
+  let lmm = dispatch (no_scalar "lmm") R.lmm F.lmm
+  let rmm x = dispatch (no_scalar "rmm") (R.rmm x) (F.rmm x)
+  let tlmm = dispatch (no_scalar "tlmm") R.tlmm F.tlmm
+  let crossprod = dispatch (no_scalar "crossprod") R.crossprod F.crossprod
+  let ginv = dispatch (no_scalar "ginv") R.ginv F.ginv
+  let describe = dispatch (Fmt.str "%g") R.describe F.describe
+end
+
 (* ---- evaluation with automatic factorization ---- *)
 
-let as_dense = function
-  | Scalar _ -> type_error "expected a matrix, got a scalar"
-  | Regular m -> Mat.dense m
-  | Normalized n -> Materialize.to_dense n
+let of_mat m = Regular (Regular_matrix.of_mat m)
+let of_dense d = Regular (Regular_matrix.of_dense d)
 
 let as_mat = function
   | Scalar _ -> type_error "expected a matrix, got a scalar"
-  | Regular m -> m
+  | Regular r -> Regular_matrix.to_mat r
   | Normalized n -> Materialize.to_mat n
 
-let as_scalar = function
-  | Scalar x -> x
-  | Regular m when Mat.rows m = 1 && Mat.cols m = 1 -> Mat.get m 0 0
-  | _ -> type_error "expected a scalar"
+let as_dense = function
+  | Normalized n -> Materialize.to_dense n
+  | v -> Mat.dense (as_mat v)
 
-(* scalar-function application preserving normalization (closure). *)
-let map_value f = function
-  | Scalar x -> Scalar (f x)
-  | Regular m -> Regular (Mat.map_scalar f m)
-  | Normalized n -> Normalized (Rewrite.map_scalar f n)
+(* Any 1×1 value reads as a scalar, whatever its representation. *)
+let as_scalar v =
+  if Matrix.rows v = 1 && Matrix.cols v = 1 then Matrix.sum v
+  else type_error "expected a scalar"
 
 (* Relational misuse (unknown column, transposed operand, …) surfaces
    as the evaluator's own exception, like every other type error. *)
@@ -72,100 +130,68 @@ let rec eval ?(env = []) e =
     match List.assoc_opt name env with
     | Some v -> v
     | None -> type_error "unbound variable %s" name)
-  | Scale (x, e) -> (
-    match ev e with
-    | Scalar y -> Scalar (Stdlib.( *. ) x y)
-    | Regular m -> Regular (Mat.scale x m)
-    | Normalized n -> Normalized (Rewrite.scale x n))
-  | Add_scalar (x, e) -> (
-    match ev e with
-    | Scalar y -> Scalar (x +. y)
-    | Regular m -> Regular (Mat.add_scalar x m)
-    | Normalized n -> Normalized (Rewrite.add_scalar x n))
-  | Pow_scalar (e, p) -> (
-    match ev e with
-    | Scalar y -> Scalar (y ** p)
-    | Regular m -> Regular (Mat.pow p m)
-    | Normalized n -> Normalized (Rewrite.pow n p))
-  | Map_scalar (_, f, e) -> map_value f (ev e)
+  | Scale (x, e) -> Matrix.scale x (ev e)
+  | Add_scalar (x, e) -> Matrix.add_scalar x (ev e)
+  | Pow_scalar (e, p) -> Matrix.pow (ev e) p
+  | Map_scalar (_, f, e) -> Matrix.map_scalar f (ev e)
   | Transpose e -> (
     match ev e with
     | Scalar x -> Scalar x
-    | Regular m -> Regular (Mat.transpose m)
+    | Regular r -> of_mat (Mat.transpose (Regular_matrix.to_mat r))
     | Normalized n -> Normalized (Rewrite.transpose n))
-  | Row_sums e -> (
-    match ev e with
-    | Scalar _ -> type_error "rowSums of scalar"
-    | Regular m -> Regular (Mat.of_dense (Mat.row_sums m))
-    | Normalized n -> Regular (Mat.of_dense (Rewrite.row_sums n)))
-  | Col_sums e -> (
-    match ev e with
-    | Scalar _ -> type_error "colSums of scalar"
-    | Regular m -> Regular (Mat.of_dense (Mat.col_sums m))
-    | Normalized n -> Regular (Mat.of_dense (Rewrite.col_sums n)))
-  | Sum e -> (
-    match ev e with
-    | Scalar x -> Scalar x
-    | Regular m -> Scalar (Mat.sum m)
-    | Normalized n -> Scalar (Rewrite.sum n))
+  | Row_sums e -> of_dense (Matrix.row_sums (ev e))
+  | Col_sums e -> of_dense (Matrix.col_sums (ev e))
+  | Sum e -> Scalar (Matrix.sum (ev e))
   | Mult (a, b) -> eval_mult (ev a) (ev b)
   | Crossprod e -> (
     match ev e with
     | Scalar x -> Scalar (x *. x)
-    | Regular m -> Regular (Mat.of_dense (Mat.crossprod m))
-    | Normalized n -> Regular (Mat.of_dense (Rewrite.crossprod n)))
+    | v -> of_dense (Matrix.crossprod v))
   | Ginv e -> (
     match ev e with
     | Scalar x -> Scalar (if x = 0.0 then 0.0 else 1.0 /. x)
-    | Regular m -> Regular (Mat.of_dense (Linalg.ginv (Mat.dense m)))
-    | Normalized n -> Regular (Mat.of_dense (Rewrite.ginv n)))
-  | Add (a, b) -> eval_elementwise "+" Mat.add Rewrite.add_mat (ev a) (ev b)
-  | Sub (a, b) -> eval_elementwise "-" Mat.sub Rewrite.sub_mat (ev a) (ev b)
-  | Mul_elem (a, b) ->
-    eval_elementwise "*" Mat.mul_elem Rewrite.mul_elem_mat (ev a) (ev b)
-  | Div_elem (a, b) ->
-    eval_elementwise "/" Mat.div_elem Rewrite.div_elem_mat (ev a) (ev b)
+    | v -> of_dense (Matrix.ginv v))
+  | Add (a, b) -> eval_elementwise "+" Mat.add (ev a) (ev b)
+  | Sub (a, b) -> eval_elementwise "-" Mat.sub (ev a) (ev b)
+  | Mul_elem (a, b) -> eval_elementwise "*" Mat.mul_elem (ev a) (ev b)
+  | Div_elem (a, b) -> eval_elementwise "/" Mat.div_elem (ev a) (ev b)
   (* Relational operators: the normalized paths never materialize the
      join (per-table masks, part pruning, count-matrix group-by —
      Relalg); Regular operands get the same semantics post hoc. *)
   | Filter (p, e) -> (
     match ev e with
     | Scalar _ -> type_error "filter of scalar"
-    | Regular m -> Regular (rel (fun () -> Relalg.filter_mat m p))
+    | Regular r ->
+      of_mat (rel (fun () -> Relalg.filter_mat (Regular_matrix.to_mat r) p))
     | Normalized n -> Normalized (rel (fun () -> Relalg.filter n p)))
   | Project (cols, e) -> (
     match ev e with
     | Scalar _ -> type_error "project of scalar"
-    | Regular m -> Regular (rel (fun () -> Relalg.project_mat m cols))
+    | Regular r ->
+      of_mat (rel (fun () -> Relalg.project_mat (Regular_matrix.to_mat r) cols))
     | Normalized n -> Normalized (rel (fun () -> Relalg.project n cols)))
   | Group_agg (keys, agg, e) -> (
     match ev e with
     | Scalar _ -> type_error "groupby of scalar"
-    | Regular m ->
-      Regular (Mat.of_dense (rel (fun () -> Relalg.group_agg_mat m ~keys agg)))
-    | Normalized n ->
-      Regular (Mat.of_dense (rel (fun () -> Relalg.group_agg n ~keys agg))))
+    | Regular r ->
+      of_dense
+        (rel (fun () ->
+             Relalg.group_agg_mat (Regular_matrix.to_mat r) ~keys agg))
+    | Normalized n -> of_dense (rel (fun () -> Relalg.group_agg n ~keys agg)))
 
 (* Matrix product dispatch: the heart of the automatic factorization.
-   Any combination involving a normalized operand routes to the LMM,
-   RMM, or DMM rewrite; scalars distribute. *)
+   A normalized operand on the left routes to the LMM rewrite, on the
+   right to the RMM rewrite, on both sides to DMM; scalars distribute. *)
 and eval_mult a b =
   match (a, b) with
-  | Scalar x, v | v, Scalar x -> (
-    match v with
-    | Scalar y -> Scalar (Stdlib.( *. ) x y)
-    | Regular m -> Regular (Mat.scale x m)
-    | Normalized n -> Normalized (Rewrite.scale x n))
-  | Regular m, Regular m' -> Regular (Mat.of_dense (Mat.mm m (Mat.dense m')))
-  | Normalized n, Regular m ->
-    Regular (Mat.of_dense (Rewrite.lmm n (Mat.dense m)))
-  | Regular m, Normalized n ->
-    Regular (Mat.of_dense (Rewrite.rmm (Mat.dense m) n))
-  | Normalized n, Normalized n' -> Regular (Mat.of_dense (Dmm.mult n n'))
+  | Scalar x, v | v, Scalar x -> Matrix.scale x v
+  | Normalized n, Normalized n' -> of_dense (Dmm.mult n n')
+  | v, Regular _ -> of_dense (Matrix.lmm v (as_dense b))
+  | Regular _, v -> of_dense (Matrix.rmm (as_dense a) v)
 
 (* Element-wise matrix ops are non-factorizable (§3.3.7): a normalized
    operand is materialized. Scalar operands fall back to scalar ops. *)
-and eval_elementwise name f_mat f_norm a b =
+and eval_elementwise name f a b =
   match (a, b) with
   | Scalar x, Scalar y -> (
     Scalar
@@ -175,18 +201,15 @@ and eval_elementwise name f_mat f_norm a b =
       | "*" -> Stdlib.( *. ) x y
       | "/" -> x /. y
       | _ -> assert false))
-  | Scalar x, v | v, Scalar x when name = "+" -> map_value (fun y -> x +. y) v
-  | v, Scalar x when name = "-" -> map_value (fun y -> y -. x) v
+  | Scalar x, v | v, Scalar x when name = "+" ->
+    Matrix.map_scalar (fun y -> x +. y) v
+  | v, Scalar x when name = "-" -> Matrix.map_scalar (fun y -> y -. x) v
   | Scalar x, v | v, Scalar x when name = "*" ->
-    map_value (fun y -> Stdlib.( *. ) x y) v
-  | v, Scalar x when name = "/" -> map_value (fun y -> y /. x) v
-  | Normalized n, v -> Regular (f_norm n (as_mat v))
-  | v, Normalized n ->
-    (* materialize the normalized side; order matters for - and / *)
-    Regular (f_mat (as_mat v) (Materialize.to_mat n))
-  | Regular m, Regular m' -> Regular (f_mat m m')
+    Matrix.map_scalar (fun y -> Stdlib.( *. ) x y) v
+  | v, Scalar x when name = "/" -> Matrix.map_scalar (fun y -> y /. x) v
   | Scalar _, _ | _, Scalar _ ->
     type_error "elementwise %s between scalar and matrix unsupported" name
+  | _ -> of_mat (f (as_mat a) (as_mat b))
 
 (* Evaluate to a dense matrix (convenience for callers and tests). *)
 let eval_dense ?env e = as_dense (eval ?env e)
@@ -302,27 +325,8 @@ let rec optimize ?(env = []) e =
               (to_string chain)) ;
         (* keep the chain as written; resolvable sub-chains still get
            reordered by the recursive calls *)
-        (match chain with
-        | Mult (a, b) -> Mult (opt a, opt b)
-        | _ -> rebuild_mult leaves))
-  | Const _ | Var _ -> e
-  | Scale (x, e) -> Scale (x, opt e)
-  | Add_scalar (x, e) -> Add_scalar (x, opt e)
-  | Pow_scalar (e, p) -> Pow_scalar (opt e, p)
-  | Map_scalar (n, f, e) -> Map_scalar (n, f, opt e)
-  | Transpose e -> Transpose (opt e)
-  | Row_sums e -> Row_sums (opt e)
-  | Col_sums e -> Col_sums (opt e)
-  | Sum e -> Sum (opt e)
-  | Crossprod e -> Crossprod (opt e)
-  | Ginv e -> Ginv (opt e)
-  | Add (a, b) -> Add (opt a, opt b)
-  | Sub (a, b) -> Sub (opt a, opt b)
-  | Mul_elem (a, b) -> Mul_elem (opt a, opt b)
-  | Div_elem (a, b) -> Div_elem (opt a, opt b)
-  | Filter (p, e) -> Filter (p, opt e)
-  | Project (cols, e) -> Project (cols, opt e)
-  | Group_agg (keys, agg, e) -> Group_agg (keys, agg, opt e)
+        map_children opt chain)
+  | e -> map_children opt e
 
 (* Reference evaluator: materializes every normalized leaf up front and
    uses only plain kernels — the "standard single-table script". Tests
@@ -330,29 +334,11 @@ let rec optimize ?(env = []) e =
    end-to-end. *)
 let eval_materialized ?(env = []) e =
   let material = function
-    | Normalized n -> Regular (Materialize.to_mat n)
+    | Normalized n -> Regular (Materialize.to_regular n)
     | v -> v
   in
   let rec mat_leaves = function
     | Const v -> Const (material v)
-    | Var name -> Var name
-    | Scale (x, e) -> Scale (x, mat_leaves e)
-    | Add_scalar (x, e) -> Add_scalar (x, mat_leaves e)
-    | Pow_scalar (e, p) -> Pow_scalar (mat_leaves e, p)
-    | Map_scalar (n, f, e) -> Map_scalar (n, f, mat_leaves e)
-    | Transpose e -> Transpose (mat_leaves e)
-    | Row_sums e -> Row_sums (mat_leaves e)
-    | Col_sums e -> Col_sums (mat_leaves e)
-    | Sum e -> Sum (mat_leaves e)
-    | Mult (a, b) -> Mult (mat_leaves a, mat_leaves b)
-    | Crossprod e -> Crossprod (mat_leaves e)
-    | Ginv e -> Ginv (mat_leaves e)
-    | Add (a, b) -> Add (mat_leaves a, mat_leaves b)
-    | Sub (a, b) -> Sub (mat_leaves a, mat_leaves b)
-    | Mul_elem (a, b) -> Mul_elem (mat_leaves a, mat_leaves b)
-    | Div_elem (a, b) -> Div_elem (mat_leaves a, mat_leaves b)
-    | Filter (p, e) -> Filter (p, mat_leaves e)
-    | Project (cols, e) -> Project (cols, mat_leaves e)
-    | Group_agg (keys, agg, e) -> Group_agg (keys, agg, mat_leaves e)
+    | e -> map_children mat_leaves e
   in
   eval ~env:(List.map (fun (k, v) -> (k, material v)) env) (mat_leaves e)

@@ -15,7 +15,7 @@ open Sparse
 
 type value = Ast.value =
   | Scalar of float
-  | Regular of Mat.t
+  | Regular of Regular_matrix.t
   | Normalized of Normalized.t
 
 type t = Ast.t =
@@ -113,6 +113,15 @@ val shape_of : env:(string * value) list -> t -> shape
 
 (** {1 Evaluation} *)
 
+module Matrix : Data_matrix.S with type t = value
+(** The one Table-1 dispatch: each {!Data_matrix.S} operator matched
+    once on the value's representation — {!Regular_matrix} (memo cells
+    included) for a regular value, {!Factorized_matrix} for a normalized
+    one. {!eval} and {!Adaptive_matrix} both run through it. A scalar
+    is closed under the element-wise scalar operators, has one row and
+    one column, and is its own sum; the other operators raise
+    {!Type_error} on it. *)
+
 val eval : ?env:(string * value) list -> t -> value
 (** Evaluate with automatic factorization. *)
 
@@ -126,4 +135,6 @@ val eval_materialized : ?env:(string * value) list -> t -> value
 
 val as_dense : value -> Dense.t
 val as_mat : value -> Mat.t
+
 val as_scalar : value -> float
+(** A scalar, or any 1×1 matrix value (regular or normalized). *)

@@ -353,13 +353,3 @@ let ginv t =
 (* Least-squares solve ginv(crossprod T)·(Tᵀ·B): the normal-equations
    path of Algorithm 6 packaged as one call. *)
 let lstsq t b = Blas.gemm (Linalg.ginv_sym (crossprod t)) (tlmm t b)
-
-(* ------------------------------------------------------------------ *)
-(* Non-factorizable element-wise matrix ops (§3.3.7): joins introduce no
-   redundancy into these computations, so Morpheus materializes. The
-   result is a regular matrix. *)
-
-let add_mat t x = Mat.add (Materialize.to_mat t) x
-let sub_mat t x = Mat.sub (Materialize.to_mat t) x
-let mul_elem_mat t x = Mat.mul_elem (Materialize.to_mat t) x
-let div_elem_mat t x = Mat.div_elem (Materialize.to_mat t) x

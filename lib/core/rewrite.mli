@@ -94,16 +94,6 @@ val lstsq : Normalized.t -> Dense.t -> Dense.t
 (** Normal-equations solve [ginv(crossprod T)·(Tᵀ·B)] (Algorithm 6's
     core). *)
 
-(** {1 Non-factorizable element-wise matrix ops (§3.3.7)}
-
-    Joins introduce no redundancy into these, so Morpheus materializes;
-    results are regular matrices. *)
-
-val add_mat : Normalized.t -> Mat.t -> Mat.t
-val sub_mat : Normalized.t -> Mat.t -> Mat.t
-val mul_elem_mat : Normalized.t -> Mat.t -> Mat.t
-val div_elem_mat : Normalized.t -> Mat.t -> Mat.t
-
 (** {1 Internal building blocks}
 
     Exposed for {!Dmm} and the benches. *)

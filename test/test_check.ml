@@ -126,7 +126,7 @@ let test_paths_address_subterms () =
 let value_shape = function
   | Expr.Scalar _ -> Check.Scalar
   | Expr.Regular m ->
-    Check.Matrix (Some (Mat.rows m), Some (Mat.cols m))
+    Check.Matrix (Some (Regular_matrix.rows m), Some (Regular_matrix.cols m))
   | Expr.Normalized n ->
     Check.Matrix (Some (Normalized.rows n), Some (Normalized.cols n))
 

@@ -1,8 +1,9 @@
-(* Uniform-signature test: one generic checker runs against all three
-   Data_matrix.S instantiations (regular, factorized, adaptive) and a
-   shared dataset, verifying that every operation in the signature gives
-   identical results across the implementations — the contract the ML
-   functors rely on. *)
+(* Uniform-signature test: one generic checker runs against every
+   Data_matrix.S instantiation (regular, factorized, adaptive, and the
+   evaluator's one dispatch Expr.Matrix over both representations) and
+   a shared dataset, verifying that every operation in the signature
+   gives identical results across the implementations — the contract
+   the ML functors rely on. *)
 
 open La
 open Sparse
@@ -42,6 +43,7 @@ end
 module PR = Probe (Regular_matrix)
 module PF = Probe (Factorized_matrix)
 module PA = Probe (Adaptive_matrix)
+module PE = Probe (Expr.Matrix)
 
 let compare_runs name a b =
   List.iter2
@@ -56,9 +58,13 @@ let test_all_instances_agree () =
   let fact = PF.run t in
   let adap_f = PA.run (Adaptive_matrix.factorized t) in
   let adap_m = PA.run (Adaptive_matrix.materialized t) in
+  let expr_r = PE.run (Expr.Regular (Materialize.to_regular t)) in
+  let expr_n = PE.run (Expr.Normalized t) in
   compare_runs "regular vs factorized" reg fact ;
   compare_runs "regular vs adaptive(F)" reg adap_f ;
-  compare_runs "regular vs adaptive(M)" reg adap_m
+  compare_runs "regular vs adaptive(M)" reg adap_m ;
+  compare_runs "regular vs Expr.Matrix(regular)" reg expr_r ;
+  compare_runs "regular vs Expr.Matrix(normalized)" reg expr_n
 
 let test_describe_nonempty () =
   let t = dataset () in
@@ -69,15 +75,8 @@ let test_describe_nonempty () =
   Alcotest.(check bool) "adaptive" true
     (String.length (Adaptive_matrix.describe (Adaptive_matrix.of_normalized t)) > 0)
 
-let test_adaptive_lift () =
-  let t = dataset () in
-  let a = Adaptive_matrix.factorized t in
-  let n = Adaptive_matrix.lift Normalized.rows Sparse.Mat.rows a in
-  Alcotest.(check int) "lift dispatches" (Normalized.rows t) n
-
 let () =
   Alcotest.run "data-matrix"
     [ ( "uniform-signature",
         [ Alcotest.test_case "all instances agree" `Quick test_all_instances_agree;
-          Alcotest.test_case "describe" `Quick test_describe_nonempty;
-          Alcotest.test_case "lift" `Quick test_adaptive_lift ] ) ]
+          Alcotest.test_case "describe" `Quick test_describe_nonempty ] ) ]

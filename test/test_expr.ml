@@ -168,6 +168,18 @@ let test_env_binding () =
     Alcotest.(check (float 1e-7)) "env eval" (Rewrite.sum tn) x
   | _ -> Alcotest.fail "expected scalar"
 
+(* A 1×1 matrix reads as a scalar whatever its representation; the
+   checker already accepts a 1×1 normalized value. *)
+let test_one_by_one_reads_as_scalar () =
+  let r = Sparse.Mat.of_dense (Dense.of_arrays [| [| 2.5 |] |]) in
+  let t = Normalized.make [ (Sparse.Indicator.create ~cols:1 [| 0 |], r) ] in
+  Alcotest.(check int) "checker reports no error" 0
+    (List.length (Check.errors (Check.analyze (Expr.normalized t)))) ;
+  Alcotest.(check (float 0.0)) "normalized 1×1" 2.5
+    (Expr.as_scalar (Expr.Normalized t)) ;
+  Alcotest.(check (float 0.0)) "regular 1×1" 2.5
+    (Expr.eval_scalar (Expr.regular r))
+
 let test_pretty_printing () =
   let t = Expr.normalized (t0 ()) in
   let s = Expr.to_string Expr.(Crossprod (Scale (2.0, t))) in
@@ -183,7 +195,9 @@ let test_pretty_printing () =
    Grow random expression trees over a normalized matrix and dense
    leaves, restricted to type-correct constructions, and check that the
    factorizing evaluator, the materialized reference evaluator, and the
-   simplified expression all agree. *)
+   simplified expression all agree — and that [Ast.map_children], the
+   rebuild those passes share, is the identity under [Fun.id] and maps
+   exactly the [Ast.children], in order. *)
 
 let rec random_expr rng tn depth =
   (* returns (expr, rows, cols); scalars are represented as (e, 0, 0) *)
@@ -236,8 +250,14 @@ let prop_random_expressions =
              materialized accumulation orders *)
           Dense.approx_equal ~tol:1e-5 (Expr.as_dense a) (Expr.as_dense b)
       in
+      let wrap c = Ast.Transpose c in
       let v = Expr.eval e in
-      close v (Expr.eval_materialized e) && close v (Expr.eval (Expr.simplify e)))
+      Ast.equal (Ast.map_children Fun.id e) e
+      && List.equal Ast.equal
+           (Ast.children (Ast.map_children wrap e))
+           (List.map wrap (Ast.children e))
+      && close v (Expr.eval_materialized e)
+      && close v (Expr.eval (Expr.simplify e)))
 
 let qc = QCheck_alcotest.to_alcotest
 
@@ -259,5 +279,7 @@ let () =
         [ Alcotest.test_case "shape inference" `Quick test_shape_inference;
           Alcotest.test_case "type errors" `Quick test_type_errors;
           Alcotest.test_case "environment" `Quick test_env_binding;
-          Alcotest.test_case "printing" `Quick test_pretty_printing ] );
+          Alcotest.test_case "printing" `Quick test_pretty_printing;
+          Alcotest.test_case "1x1 reads as scalar" `Quick
+            test_one_by_one_reads_as_scalar ] );
       ("fuzz", [ qc prop_random_expressions ]) ]

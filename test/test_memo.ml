@@ -1,7 +1,8 @@
 (* Tests for the invariant-memoization layer: cached loop invariants
-   equal freshly computed ones across all three data-matrix
-   representations, cache hits re-run no kernel (the Flops counters see
-   zero work — the observable steady-state ML iterations rely on), and
+   equal freshly computed ones across every Data_matrix.S instantiation
+   (the evaluator's Expr.Matrix over both representations included),
+   cache hits re-run no kernel (the Flops counters see zero work — the
+   observable steady-state ML iterations rely on), and
    the sharing semantics hold: [transpose] shares its source's memo
    (the cells are keyed to the non-transposed body), while [map_mats]
    and [select_rows] produce different logical matrices and must not. *)
@@ -78,7 +79,15 @@ let test_contract_all_reprs () =
   check_contract
     (module Adaptive_matrix)
     ~name:"adaptive-mat"
-    (Adaptive_matrix.materialized (pkfk_case ()))
+    (Adaptive_matrix.materialized (pkfk_case ())) ;
+  check_contract
+    (module Expr.Matrix)
+    ~name:"expr-regular"
+    (Expr.Regular (Materialize.to_regular (pkfk_case ()))) ;
+  check_contract
+    (module Expr.Matrix)
+    ~name:"expr-normalized"
+    (Expr.Normalized (pkfk_case ()))
 
 (* qcheck: the contract holds at any shape, for every representation. *)
 let prop_memo_equals_fresh =
@@ -156,6 +165,22 @@ let test_indicator_col_counts_memoized () =
   Alcotest.(check bool) "hit returns the same array" true (second == first) ;
   Alcotest.(check (float 0.0)) "hit costs zero flops" 0.0 (Flops.get ())
 
+(* ---- evaluator leaves ---- *)
+
+(* A regular Expr leaf carries its Regular_matrix cells: evaluating
+   crossprod of one leaf twice runs the kernel once. *)
+let test_eval_regular_leaf_memoized () =
+  let leaf = Expr.dense (Dense.random ~rng:(Rng.of_int 5) 200 6) in
+  let e = Expr.Crossprod leaf in
+  let fresh = Memo.with_disabled (fun () -> Expr.eval_dense e) in
+  let first = Expr.eval_dense e in
+  Flops.reset () ;
+  let second = Expr.eval_dense e in
+  Alcotest.(check (float 0.0)) "second evaluation costs zero flops" 0.0
+    (Flops.get ()) ;
+  check_bitwise "first evaluation equals a fresh one" fresh first ;
+  check_bitwise "second evaluation equals the first" first second
+
 (* ---- the global switch ---- *)
 
 let test_disabled_layer_writes_nothing () =
@@ -182,4 +207,6 @@ let () =
         [ Alcotest.test_case "indicator col_counts" `Quick
             test_indicator_col_counts_memoized;
           Alcotest.test_case "disabled layer writes nothing" `Quick
-            test_disabled_layer_writes_nothing ] ) ]
+            test_disabled_layer_writes_nothing;
+          Alcotest.test_case "evaluator regular leaf" `Quick
+            test_eval_regular_leaf_memoized ] ) ]
