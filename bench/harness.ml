@@ -1,8 +1,11 @@
 (* Shared infrastructure for the paper-reproduction benches: timing both
-   execution paths, printing paper-style tables, and the global scale
-   knob (--quick shrinks every workload; ratios are preserved). *)
+   execution paths, printing paper-style tables, the global scale knob
+   (--quick shrinks every workload; ratios are preserved), the one
+   writer of every BENCH_*.json, and the closed client loop of the
+   serving benches. *)
 
 open Workload
+module Json = Morpheus_serve.Json
 
 type config = {
   quick : bool; (* smaller grids and sizes *)
@@ -81,3 +84,112 @@ let alloc_row name (a : Timing.alloc) =
     (words a.Timing.minor_words)
     (words a.Timing.major_words)
     (words a.Timing.promoted_words)
+
+(* ---- BENCH_*.json reports ---- *)
+
+let cores_online = Domain.recommended_domain_count ()
+
+let num x = Json.Num x
+let int n = Json.Num (float_of_int n)
+let list f l = Json.Arr (List.map f l)
+
+(* Writes [fields] to [path] as one JSON object led by [cores_online]:
+   one line per field, and one line per point of a field that holds a
+   list of objects (a sweep). A host with one core online measures no
+   parallelism, so it never replaces an existing file unless forced:
+   flat numbers silently replacing multi-core ones would read as a
+   regression. *)
+let write_report cfg path fields =
+  if cores_online <= 1 && Sys.file_exists path && not cfg.force then
+    Printf.printf
+      "\nWARNING: host exposes only %d core online; NOT overwriting the \
+       committed %s (re-run with --force to override)\n"
+      cores_online path
+  else begin
+    let field (key, value) =
+      let value =
+        match value with
+        | Json.Arr (Json.Obj _ :: _ as points) ->
+          let point p = "    " ^ Json.to_string p in
+          "[\n" ^ String.concat ",\n" (List.map point points) ^ "\n  ]"
+        | v -> Json.to_string v
+      in
+      Printf.sprintf "  %s: %s" (Json.to_string (Json.Str key)) value
+    in
+    let fields = ("cores_online", int cores_online) :: fields in
+    Out_channel.with_open_text path (fun oc ->
+        Printf.fprintf oc "{\n%s\n}\n"
+          (String.concat ",\n" (List.map field fields))) ;
+    Printf.printf "\nwrote %s\n%!" path
+  end
+
+(* ---- the serving benches' temp dirs and clients ---- *)
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* [f] on a fresh directory under the system temp dir, removed on the
+   way out. *)
+let with_temp_dir name f =
+  let root =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "morpheus_%s_%d" name (Unix.getpid ()))
+  in
+  rm_rf root ;
+  Sys.mkdir root 0o755 ;
+  Fun.protect ~finally:(fun () -> rm_rf root) (fun () -> f root)
+
+type stop = Requests of int (* per thread *) | Seconds of float
+
+type loop = {
+  ok : int;
+  failed : int;
+  error : string option; (* one failed request's "[code] message" *)
+  elapsed : float; (* seconds, all threads *)
+  latencies : float array; (* seconds, one per answered request *)
+}
+
+(* [threads] client threads, each sending its next request only when
+   the previous one has returned, until [stop]. Thread [th] runs
+   [client th send]: the client sets up what the thread holds for its
+   whole run (a keep-alive connection, a seeded RNG) and calls
+   [send request] once, where [request i] sends the thread's [i]th
+   request. *)
+let closed_loop ~threads ~stop client =
+  let oks = Array.make threads 0 and fails = Array.make threads 0 in
+  let lats = Array.make threads [] and error = ref None in
+  let stop_at =
+    match stop with Seconds s -> Timing.now () +. s | Requests _ -> infinity
+  in
+  let more i =
+    match stop with Requests n -> i < n | Seconds _ -> Timing.now () < stop_at
+  in
+  let send th request =
+    let i = ref 0 in
+    while more !i do
+      let t0 = Timing.now () in
+      (match request !i with
+      | Ok _ ->
+        oks.(th) <- oks.(th) + 1 ;
+        lats.(th) <- (Timing.now () -. t0) :: lats.(th)
+      | Error (code, msg) ->
+        fails.(th) <- fails.(th) + 1 ;
+        error := Some (Printf.sprintf "[%s] %s" code msg)) ;
+      incr i
+    done
+  in
+  let t0 = Timing.now () in
+  List.init threads (fun th -> Thread.create (fun () -> client th (send th)) ())
+  |> List.iter Thread.join ;
+  let sum = Array.fold_left ( + ) 0 in
+  { ok = sum oks;
+    failed = sum fails;
+    error = !error;
+    elapsed = Timing.now () -. t0;
+    latencies = Array.of_list (List.concat (Array.to_list lats))
+  }

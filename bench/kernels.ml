@@ -5,18 +5,12 @@
    every shape and domain count, so the speed column is the only thing
    allowed to differ.
 
-   Results go to stdout and to BENCH_kernels.json (same single-core
-   overwrite guard as the scaling bench: on a 1-core host the
-   tiled-vs-naive ratio is still meaningful, but an existing file
-   recorded on real cores is not silently replaced). *)
+   Results go to stdout and to BENCH_kernels.json. *)
 
 open La
 open Workload
 
 let domain_counts = [ 1; 2; 4 ]
-
-let json_floats l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%.6f") l) ^ "]"
 
 let bits_equal_mat a b =
   let ad = Dense.data a and bd = Dense.data b in
@@ -75,10 +69,9 @@ let probes d =
 let run cfg =
   Harness.section "Dense kernels: naive (Blas_ref) vs cache-blocked (Blas)" ;
   let dims = if cfg.Harness.quick then [ 100; 300 ] else [ 100; 500; 1000; 2000 ] in
-  let cores = Domain.recommended_domain_count () in
   Printf.printf "tile profile: %s\nhost cores online: %d\n"
     (Tune.describe (Tune.current ()))
-    cores ;
+    Harness.cores_online ;
   let results = ref [] in
   List.iter
     (fun d ->
@@ -134,41 +127,21 @@ let run cfg =
         (if sp >= 3.0 then "  [>=3x target met]" else ""))
     headline ;
   if headline <> [] then print_newline () ;
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf (Printf.sprintf "  \"cores_online\": %d,\n" cores) ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"tile_profile\": %S,\n" (Tune.describe (Tune.current ()))) ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map string_of_int domain_counts))) ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"dims\": [%s],\n"
-       (String.concat ", " (List.map string_of_int dims))) ;
-  Buffer.add_string buf "  \"kernels\": [\n" ;
-  List.iteri
-    (fun i (d, name, per_domain, all_same) ->
-      let naive = List.map (fun (_, tn, _, _) -> tn) per_domain in
-      let tiled = List.map (fun (_, _, tt, _) -> tt) per_domain in
-      let _, tn1, tt1, _ = List.hd per_domain in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"dim\": %d, \"naive_seconds\": %s, \
-            \"tiled_seconds\": %s, \"tiled_speedup_1dom\": %.3f, \
-            \"bitwise_identical\": %b}%s\n"
-           name d (json_floats naive) (json_floats tiled) (tn1 /. tt1) all_same
-           (if i = List.length results - 1 then "" else ",")))
-    results ;
-  Buffer.add_string buf "  ]\n}\n" ;
-  let path = "BENCH_kernels.json" in
-  if cores <= 1 && Sys.file_exists path && not cfg.Harness.force then
-    Printf.printf
-      "\nWARNING: host exposes only %d core online; NOT overwriting the \
-       committed %s (re-run with --force to override)\n"
-      cores path
-  else begin
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf) ;
-    close_out oc ;
-    Printf.printf "\nwrote %s\n" path
-  end
+  let open Harness in
+  write_report cfg "BENCH_kernels.json"
+    [ ("tile_profile", Json.Str (Tune.describe (Tune.current ())));
+      ("domains", list int domain_counts);
+      ("dims", list int dims);
+      ( "kernels",
+        list
+          (fun (d, name, per_domain, all_same) ->
+            let _, tn1, tt1, _ = List.hd per_domain in
+            Json.Obj
+              [ ("name", Json.Str name); ("dim", int d);
+                ("naive_seconds", list (fun (_, tn, _, _) -> num tn) per_domain);
+                ("tiled_seconds", list (fun (_, _, tt, _) -> num tt) per_domain);
+                ("tiled_speedup_1dom", num (tn1 /. tt1));
+                ("bitwise_identical", Json.Bool all_same)
+              ])
+          results )
+    ]

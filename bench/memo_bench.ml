@@ -117,10 +117,13 @@ let per_iter iters (a : Timing.alloc) =
     }
 
 let json_alloc (a : Timing.alloc) =
-  Printf.sprintf
-    "{\"seconds_per_iter\": %.6e, \"minor_words_per_iter\": %.1f, \"major_words_per_iter\": %.1f, \"promoted_words_per_iter\": %.1f}"
-    a.Timing.seconds a.Timing.minor_words a.Timing.major_words
-    a.Timing.promoted_words
+  Harness.(
+    Json.Obj
+      [ ("seconds_per_iter", num a.seconds);
+        ("minor_words_per_iter", num a.minor_words);
+        ("major_words_per_iter", num a.major_words);
+        ("promoted_words_per_iter", num a.promoted_words)
+      ])
 
 let run cfg =
   Harness.section
@@ -172,25 +175,20 @@ let run cfg =
         (name, b, a))
       cases
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"setting\": {\"base\": %d, \"tr\": %d, \"fr\": %.1f, \"iters\": %d, \"quick\": %b},\n"
-       base tr fr iters cfg.Harness.quick) ;
-  Buffer.add_string buf "  \"algorithms\": [\n" ;
-  List.iteri
-    (fun i (name, b, a) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S,\n     \"before\": %s,\n     \"after\": %s,\n     \"speedup_per_iter\": %.2f}%s\n"
-           name (json_alloc b) (json_alloc a)
-           (b.Timing.seconds /. a.Timing.seconds)
-           (if i = List.length results - 1 then "" else ",")))
-    results ;
-  Buffer.add_string buf "  ]\n}\n" ;
-  let path = "BENCH_memo.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf) ;
-  close_out oc ;
-  Printf.printf "\nwrote %s\n" path
+  let open Harness in
+  write_report cfg "BENCH_memo.json"
+    [ ( "setting",
+        Json.Obj
+          [ ("base", int base); ("tr", int tr); ("fr", num fr); ("iters", int iters);
+            ("quick", Json.Bool cfg.quick)
+          ] );
+      ( "algorithms",
+        list
+          (fun (name, b, a) ->
+            Json.Obj
+              [ ("name", Json.Str name); ("before", json_alloc b);
+                ("after", json_alloc a);
+                ("speedup_per_iter", num (b.Timing.seconds /. a.Timing.seconds))
+              ])
+          results )
+    ]

@@ -24,9 +24,6 @@ open Workload
 
 let selectivities = [ 0.01; 0.1; 0.25; 0.5; 0.9 ]
 
-let json_floats l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%.6f") l) ^ "]"
-
 let run cfg =
   Harness.section
     "Planner: pushed-down selection vs materialize-then-filter (TR=20 FR=4)" ;
@@ -73,33 +70,29 @@ let run cfg =
         (sel, rows, (txp_p, txp_m), (tsc_p, tsc_m)))
       selectivities
   in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"setting\": {\"base\": %d, \"tr\": 20, \"fr\": 4.0, \"rows\": %d, \
-        \"cols\": %d, \"predicate\": \"c0 < quantile(sel)\"},\n"
-       base n dc) ;
-  Buffer.add_string buf
-    "  \"expectation\": \"pushdown beats materialize-then-filter at every \
-     selectivity <= 0.5\",\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"selectivities\": %s,\n" (json_floats selectivities)) ;
-  Buffer.add_string buf "  \"sweep\": [\n" ;
-  List.iteri
-    (fun i (sel, rows, (txp_p, txp_m), (tsc_p, tsc_m)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"selectivity\": %.2f, \"rows\": %d, \"crossprod\": \
-            {\"pushdown_s\": %.6f, \"materialize_s\": %.6f, \"speedup\": \
-            %.3f}, \"scoring\": {\"pushdown_s\": %.6f, \"materialize_s\": \
-            %.6f, \"speedup\": %.3f}}%s\n"
-           sel rows txp_p txp_m (txp_m /. txp_p) tsc_p tsc_m (tsc_m /. tsc_p)
-           (if i = List.length results - 1 then "" else ",")))
-    results ;
-  Buffer.add_string buf "  ]\n}\n" ;
-  let path = "BENCH_planner.json" in
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf) ;
-  close_out oc ;
-  Printf.printf "\nwrote %s\n" path
+  let open Harness in
+  let pair (push, mat) =
+    Json.Obj
+      [ ("pushdown_s", num push); ("materialize_s", num mat);
+        ("speedup", num (mat /. push))
+      ]
+  in
+  write_report cfg "BENCH_planner.json"
+    [ ( "setting",
+        Json.Obj
+          [ ("base", int base); ("tr", int 20); ("fr", num 4.0); ("rows", int n);
+            ("cols", int dc); ("predicate", Json.Str "c0 < quantile(sel)")
+          ] );
+      ( "expectation",
+        Json.Str
+          "pushdown beats materialize-then-filter at every selectivity <= 0.5" );
+      ("selectivities", list num selectivities);
+      ( "sweep",
+        list
+          (fun (sel, rows, xp, sc) ->
+            Json.Obj
+              [ ("selectivity", num sel); ("rows", int rows);
+                ("crossprod", pair xp); ("scoring", pair sc)
+              ])
+          results )
+    ]

@@ -18,9 +18,6 @@ open Ml_algs.Algorithms
 
 let domain_counts = [ 1; 2; 4 ]
 
-let json_floats l =
-  "[" ^ String.concat ", " (List.map (Printf.sprintf "%.6f") l) ^ "]"
-
 let run cfg =
   Harness.section "Parallel scaling: Exec domains vs wall-clock (Fig-3 TR=20 FR=4)" ;
   let base = if cfg.Harness.quick then 500 else 2_000 in
@@ -31,9 +28,8 @@ let run cfg =
   let n, dc = Dense.dims dense_t in
   let x = Dense.gaussian ~rng:(Rng.of_int 7) dc 2 in
   let iters = if cfg.Harness.quick then 3 else 5 in
-  let cores = Domain.recommended_domain_count () in
   Printf.printf "dense T: %d x %d; logreg %d iters; host cores online: %d\n"
-    n dc iters cores ;
+    n dc iters Harness.cores_online ;
   let ops =
     [ ("crossprod", fun exec () -> ignore (Blas.crossprod ~exec dense_t));
       ("lmm", fun exec () -> ignore (Blas.gemm ~exec dense_t x));
@@ -74,41 +70,21 @@ let run cfg =
       Printf.printf "   %5.2fx\n"
         (t1 /. List.fold_left min infinity seconds))
     results ;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"setting\": {\"base\": %d, \"tr\": %d, \"fr\": %.1f, \"rows\": %d, \"cols\": %d, \"logreg_iters\": %d},\n"
-       base tr fr n dc iters) ;
-  Buffer.add_string buf (Printf.sprintf "  \"cores_online\": %d,\n" cores) ;
-  Buffer.add_string buf
-    (Printf.sprintf "  \"domains\": [%s],\n"
-       (String.concat ", " (List.map string_of_int domain_counts))) ;
-  Buffer.add_string buf "  \"ops\": [\n" ;
-  List.iteri
-    (fun i (name, seconds) ->
-      let t1 = List.hd seconds in
-      let speedups = List.map (fun s -> t1 /. s) seconds in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"seconds\": %s, \"speedup_vs_1\": %s}%s\n" name
-           (json_floats seconds) (json_floats speedups)
-           (if i = List.length results - 1 then "" else ",")))
-    results ;
-  Buffer.add_string buf "  ]\n}\n" ;
-  let path = "BENCH_parallel.json" in
-  (* a single-core host measures no parallelism: silently replacing the
-     committed multi-core numbers with flat ones would look like a
-     regression, so refuse unless explicitly forced *)
-  if cores <= 1 && Sys.file_exists path && not cfg.Harness.force then
-    Printf.printf
-      "\nWARNING: host exposes only %d core online; NOT overwriting the \
-       committed %s with single-core numbers (re-run with --force to \
-       override)\n"
-      cores path
-  else begin
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf) ;
-    close_out oc ;
-    Printf.printf "\nwrote %s\n" path
-  end
+  let open Harness in
+  write_report cfg "BENCH_parallel.json"
+    [ ( "setting",
+        Json.Obj
+          [ ("base", int base); ("tr", int tr); ("fr", num fr); ("rows", int n);
+            ("cols", int dc); ("logreg_iters", int iters)
+          ] );
+      ("domains", list int domain_counts);
+      ( "ops",
+        list
+          (fun (name, seconds) ->
+            let t1 = List.hd seconds in
+            Json.Obj
+              [ ("name", Json.Str name); ("seconds", list num seconds);
+                ("speedup_vs_1", list (fun s -> num (t1 /. s)) seconds)
+              ])
+          results )
+    ]

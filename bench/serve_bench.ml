@@ -12,49 +12,16 @@ open La
 open Morpheus
 open Morpheus_serve
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.0
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int (n - 1) +. 0.5)))
-
-type scenario_result = {
-  sc_name : string;
-  sc_clients : int;
-  sc_requests : int;
-  sc_wall : float;
-  sc_p50 : float;
-  sc_p95 : float;
-  sc_p99 : float;
-  sc_max : float;
-  sc_mean_batch : float;
-  sc_batches : int;
+type scenario = {
+  name : string;
+  clients : int;
+  loop : Harness.loop;
+  mean_batch : float;
+  batches : int;
 }
 
-(* One closed loop: [requests] score-by-ids calls of [ids_per_req] rows
-   each, latencies recorded client-side. *)
-let client_loop ~socket ~model ~dataset ~ids_per_req ~n_rows ~requests ~seed out
-    =
-  let rng = Rng.of_int seed in
-  Client.with_client ~socket (fun c ->
-      for r = 0 to requests - 1 do
-        let ids = Array.init ids_per_req (fun _ -> Rng.int rng n_rows) in
-        let t0 = Unix.gettimeofday () in
-        (match Client.score_ids c ~model ~dataset ids with
-        | Ok _ -> ()
-        | Error (code, msg) ->
-          Printf.eprintf "serve bench: [%s] %s\n%!" code msg ;
-          exit 1) ;
-        out.(r) <- Unix.gettimeofday () -. t0
-      done)
-
+(* One closed loop against a fresh server: [clients] threads of
+   [requests] score-by-ids calls of [ids_per_req] rows each. *)
 let run_scenario ~name ~registry ~socket ~model ~dataset ~n_rows ~max_batch
     ~clients ~requests ~ids_per_req =
   let server =
@@ -75,62 +42,52 @@ let run_scenario ~name ~registry ~socket ~model ~dataset ~n_rows ~max_batch
       match Client.score_ids c ~model ~dataset [| 0 |] with
       | Ok _ -> ()
       | Error (code, msg) ->
-        Printf.eprintf "serve bench warmup: [%s] %s\n%!" code msg ;
-        exit 1) ;
-  let lat = Array.init clients (fun _ -> Array.make requests 0.0) in
-  let wall0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun i ->
-        Thread.create
-          (fun () ->
-            client_loop ~socket ~model ~dataset ~ids_per_req ~n_rows ~requests
-              ~seed:(1000 + i) lat.(i))
-          ())
+        failwith (Printf.sprintf "serve bench warmup: [%s] %s" code msg)) ;
+  let loop =
+    Harness.closed_loop ~threads:clients ~stop:(Requests requests)
+      (fun th send ->
+        let rng = Rng.of_int (1000 + th) in
+        Client.with_client ~socket (fun c ->
+            send (fun _ ->
+                let ids = Array.init ids_per_req (fun _ -> Rng.int rng n_rows) in
+                Client.score_ids c ~model ~dataset ids)))
   in
-  List.iter Thread.join threads ;
-  let wall = Unix.gettimeofday () -. wall0 in
-  let all = Array.concat (Array.to_list lat) in
-  Array.sort compare all ;
+  Option.iter
+    (fun e ->
+      failwith
+        (Printf.sprintf "serve bench: %d requests failed: %s" loop.failed e))
+    loop.error ;
   let snapshot = Metrics.snapshot (Server.metrics server) in
-  let stat path conv =
-    List.fold_left
-      (fun acc k -> Option.bind acc (Json.member k))
-      (Some snapshot) path
+  let batches k conv =
+    Option.bind (Json.member "batches" snapshot) (Json.member k)
     |> Fun.flip Option.bind conv
   in
-  { sc_name = name;
-    sc_clients = clients;
-    sc_requests = clients * requests;
-    sc_wall = wall;
-    sc_p50 = percentile all 0.50;
-    sc_p95 = percentile all 0.95;
-    sc_p99 = percentile all 0.99;
-    sc_max = all.(Array.length all - 1);
-    sc_mean_batch =
-      Option.value ~default:0.0 (stat [ "batches"; "mean_requests" ] Json.to_float);
-    sc_batches =
-      Option.value ~default:0 (stat [ "batches"; "count" ] Json.to_int)
+  { name;
+    clients;
+    loop;
+    mean_batch = Option.value ~default:0.0 (batches "mean_requests" Json.to_float);
+    batches = Option.value ~default:0 (batches "count" Json.to_int)
   }
+
+let rate r = float_of_int r.loop.ok /. r.loop.elapsed
+let ms r p = 1e3 *. Workload.Timing.percentile p r.loop.latencies
 
 let print_result r =
   Printf.printf
     "%-12s %2d clients  %6d reqs  %7.0f req/s  p50 %6.3fms  p95 %6.3fms  p99 \
      %6.3fms  (batches: %d, mean %.1f reqs)\n%!"
-    r.sc_name r.sc_clients r.sc_requests
-    (float_of_int r.sc_requests /. r.sc_wall)
-    (1e3 *. r.sc_p50) (1e3 *. r.sc_p95) (1e3 *. r.sc_p99) r.sc_batches
-    r.sc_mean_batch
+    r.name r.clients r.loop.ok (rate r) (ms r 50.0) (ms r 95.0) (ms r 99.0)
+    r.batches r.mean_batch
 
 let json_result r =
-  Printf.sprintf
-    "    { \"scenario\": %S, \"clients\": %d, \"requests\": %d,\n\
-    \      \"throughput_rps\": %.1f, \"p50_ms\": %.4f, \"p95_ms\": %.4f,\n\
-    \      \"p99_ms\": %.4f, \"max_ms\": %.4f,\n\
-    \      \"batches\": %d, \"mean_batch_requests\": %.2f }"
-    r.sc_name r.sc_clients r.sc_requests
-    (float_of_int r.sc_requests /. r.sc_wall)
-    (1e3 *. r.sc_p50) (1e3 *. r.sc_p95) (1e3 *. r.sc_p99) (1e3 *. r.sc_max)
-    r.sc_batches r.sc_mean_batch
+  let open Harness in
+  Json.Obj
+    [ ("scenario", Json.Str r.name); ("clients", int r.clients);
+      ("requests", int r.loop.ok); ("throughput_rps", num (rate r));
+      ("p50_ms", num (ms r 50.0)); ("p95_ms", num (ms r 95.0));
+      ("p99_ms", num (ms r 99.0)); ("max_ms", num (ms r 100.0));
+      ("batches", int r.batches); ("mean_batch_requests", num r.mean_batch)
+    ]
 
 let run (cfg : Harness.config) =
   Harness.section "Serving: micro-batched scoring over a Unix socket" ;
@@ -142,14 +99,8 @@ let run (cfg : Harness.config) =
   let clients = if cfg.Harness.quick then 4 else 8 in
   let requests = if cfg.Harness.quick then 150 else 600 in
   let ids_per_req = 8 in
-  let root =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "morpheus_serve_bench_%d" (Unix.getpid ()))
-  in
-  rm_rf root ;
-  Sys.mkdir root 0o755 ;
-  Fun.protect ~finally:(fun () -> rm_rf root)
-  @@ fun () ->
+  Harness.with_temp_dir "serve_bench"
+  @@ fun root ->
   let data = Workload.Synthetic.pkfk ~seed:7 ~ns ~ds:5 ~nr ~dr () in
   let t = data.Workload.Synthetic.t in
   let n_rows, d = Normalized.dims t in
@@ -174,19 +125,14 @@ let run (cfg : Harness.config) =
   let batched = scenario "batched" 64 1 in
   print_result batched ;
   Printf.printf "micro-batching p95 speed-up: %.2fx\n%!"
-    (unbatched.sc_p95 /. Float.max 1e-9 batched.sc_p95) ;
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n" ;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"workload\": { \"ns\": %d, \"nr\": %d, \"d\": %d, \"clients\": %d,\n\
-       \    \"requests_per_client\": %d, \"ids_per_request\": %d },\n" ns nr d
-       clients requests ids_per_req) ;
-  Buffer.add_string buf "  \"scenarios\": [\n" ;
-  Buffer.add_string buf
-    (String.concat ",\n" (List.map json_result [ unbatched; batched ])) ;
-  Buffer.add_string buf "\n  ]\n}\n" ;
-  let path = "BENCH_serve.json" in
-  Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc (Buffer.contents buf)) ;
-  Printf.printf "wrote %s\n%!" path
+    (ms unbatched 95.0 /. Float.max 1e-6 (ms batched 95.0)) ;
+  let open Harness in
+  write_report cfg "BENCH_serve.json"
+    [ ( "workload",
+        Json.Obj
+          [ ("ns", int ns); ("nr", int nr); ("d", int d); ("clients", int clients);
+            ("requests_per_client", int requests);
+            ("ids_per_request", int ids_per_req)
+          ] );
+      ("scenarios", list json_result [ unbatched; batched ])
+    ]

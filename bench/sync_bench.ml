@@ -102,13 +102,12 @@ let run (cfg : Harness.config) =
     (Printf.sprintf "%d threads x%d" contended_threads ops_c)
     raw_c off_c on_c ;
   ignore !counter ;
-  let j =
-    Printf.sprintf
-      "{\"uncontended\":{\"raw_ns\":%.2f,\"sync_off_ns\":%.2f,\"sync_on_ns\":%.2f},\n\
-       \ \"contended\":{\"threads\":%d,\"raw_ns\":%.2f,\"sync_off_ns\":%.2f,\"sync_on_ns\":%.2f}}\n"
-      raw_u off_u on_u contended_threads raw_c off_c on_c
+  let open Harness in
+  let ns raw off on_ =
+    [ ("raw_ns", num raw); ("sync_off_ns", num off); ("sync_on_ns", num on_) ]
   in
-  let oc = open_out "BENCH_sync.json" in
-  output_string oc j ;
-  close_out oc ;
-  Printf.printf "\nwrote BENCH_sync.json\n"
+  write_report cfg "BENCH_sync.json"
+    [ ("uncontended", Json.Obj (ns raw_u off_u on_u));
+      ( "contended",
+        Json.Obj (("threads", int contended_threads) :: ns raw_c off_c on_c) )
+    ]

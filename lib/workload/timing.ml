@@ -32,6 +32,18 @@ let measure ?(warmup = 1) ?(runs = 3) f =
   let sorted = List.sort compare samples in
   List.nth sorted (runs / 2)
 
+(* Nearest rank: the smallest sample with at least [p] percent of the
+   samples at or below it. [nan] on an empty sample. *)
+let percentile p xs =
+  let n = Array.length xs in
+  if n = 0 then Float.nan
+  else begin
+    let sorted = Array.copy xs in
+    Array.sort Float.compare sorted ;
+    let rank = int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) in
+    sorted.(max 1 (min n rank) - 1)
+  end
+
 (* ---- allocation-aware measurement ---- *)
 
 type alloc = {

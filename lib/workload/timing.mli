@@ -15,6 +15,11 @@ val measure : ?warmup:int -> ?runs:int -> (unit -> 'a) -> float
 (** Median seconds over [runs] measured executions after [warmup]
     unmeasured ones (defaults 1 and 3). *)
 
+val percentile : float -> float array -> float
+(** [percentile p xs]: the nearest-rank [p]th percentile ([p] in
+    percent), the smallest sample with at least [p] percent of [xs] at
+    or below it. [xs] is not modified; [nan] when it is empty. *)
+
 (** {1 Allocation-aware measurement}
 
     Wall-clock time plus [Gc.quick_stat] heap-allocation deltas, the

@@ -8,16 +8,9 @@
 open La
 open Morpheus
 open Morpheus_serve
+open Test_support.Util
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s) ; exit 1) fmt
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
-      Sys.rmdir path
-    end
-    else Sys.remove path
 
 let () =
   let root =

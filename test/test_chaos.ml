@@ -10,36 +10,11 @@ open Sparse
 open Morpheus
 open Ore
 open Morpheus_serve
+open Test_support.Util
 module Ck = Ml_algs.Checkpoint
 module F = Ml_algs.Algorithms.Factorized
 
 exception Crash (* the simulated kill signal for resume tests *)
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let dir_counter = ref 0
-
-let tmpdir prefix =
-  incr dir_counter ;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d ;
-  Sys.mkdir d 0o755 ;
-  d
-
-let contains ~needle hay =
-  let ln = String.length needle and lh = String.length hay in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
 
 let bitwise msg a b =
   if Dense.data a <> Dense.data b then

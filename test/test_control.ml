@@ -15,36 +15,11 @@ open Sparse
 open Morpheus
 open Morpheus_serve
 open Morpheus_cluster
+open Test_support.Util
 
 let qc = QCheck_alcotest.to_alcotest
 
 let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
-let dir_counter = ref 0
-
-let tmpdir prefix =
-  incr dir_counter ;
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "%s_%d_%d" prefix (Unix.getpid ()) !dir_counter)
-  in
-  rm_rf d ;
-  Sys.mkdir d 0o755 ;
-  d
-
-let contains ~needle hay =
-  let ln = String.length needle and lh = String.length hay in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
 
 let wire addr req = Client.with_client ~socket:addr (fun c -> Client.call c req)
 
@@ -996,15 +971,6 @@ let make_data root =
       artifact
   in
   (t, artifact, ds_dir, reg, entry)
-
-let free_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> Unix.close fd)
-  @@ fun () ->
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) ;
-  match Unix.getsockname fd with
-  | Unix.ADDR_INET (_, port) -> port
-  | _ -> Alcotest.fail "no port bound"
 
 let spawn_shard bin ~reg ~port =
   let addr = Printf.sprintf "127.0.0.1:%d" port in

@@ -7,18 +7,12 @@
 open La
 open Morpheus
 open Morpheus_serve
+open Test_support.Util
 
 let tmpdir () =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "morpheus_serve_t_%d_%d" (Unix.getpid ())
        (Random.int 1000000))
-
-let rec rm_rf path =
-  if Sys.is_directory path then begin
-    Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path) ;
-    Sys.rmdir path
-  end
-  else Sys.remove path
 
 let with_dir f =
   let dir = tmpdir () in

@@ -142,6 +142,20 @@ let test_timing_speedup () =
   Alcotest.(check (float 1e-9)) "ratio" 4.0
     (Timing.speedup ~materialized:2.0 ~factorized:0.5)
 
+(* Nearest rank on 5 samples: p20 is exactly the 1st sample and p21
+   already the 2nd. *)
+let test_timing_percentile () =
+  let xs = [| 5.0; 1.0; 4.0; 2.0; 3.0 |] in
+  List.iter
+    (fun (p, want) ->
+      Alcotest.(check (float 0.0)) (Printf.sprintf "p%g" p) want
+        (Timing.percentile p xs))
+    [ (50.0, 3.0); (90.0, 5.0); (20.0, 1.0); (21.0, 2.0); (100.0, 5.0) ] ;
+  Alcotest.(check bool) "empty is nan" true
+    (Float.is_nan (Timing.percentile 50.0 [||])) ;
+  Alcotest.(check (array (float 0.0))) "input left unsorted"
+    [| 5.0; 1.0; 4.0; 2.0; 3.0 |] xs
+
 let () =
   Alcotest.run "workload"
     [ ( "synthetic",
@@ -161,4 +175,5 @@ let () =
           Alcotest.test_case "find" `Quick test_find ] );
       ( "timing",
         [ Alcotest.test_case "measure" `Quick test_timing_measure;
-          Alcotest.test_case "speedup" `Quick test_timing_speedup ] ) ]
+          Alcotest.test_case "speedup" `Quick test_timing_speedup;
+          Alcotest.test_case "percentile" `Quick test_timing_percentile ] ) ]
