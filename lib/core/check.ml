@@ -623,18 +623,28 @@ let analyze_with lookup root =
         let shape =
           match v1.shape with Matrix (_, c) -> Matrix (None, c) | s -> s
         in
-        let norm =
-          Option.map
-            (fun i ->
-              let ns = max 1 (int_of_float (ceil (sel *. fi i.n_dims.Cost.ns))) in
-              { i with
-                n_dims = { i.n_dims with Cost.ns };
-                tuple_ratio = fi ns /. fi (max 1 i.n_dims.Cost.nr) })
-            v1.norm
+        (* the selected operand has n′ rows; select_rows compacts R when
+           Cost prices it cheaper, with the distinct rows n′ uniform
+           references hit estimated as u′ = n_R·(1 − (1 − 1/n_R)^{n′}) *)
+        let selected i =
+          let { Cost.ns; nr; dr; _ } = i.n_dims in
+          let ns = max 1 (int_of_float (ceil (sel *. fi ns))) in
+          let u =
+            int_of_float
+              (ceil (fi nr *. (1.0 -. ((1.0 -. (1.0 /. fi (max 1 nr))) ** fi ns))))
+          in
+          let compacts = Cost.compacts ~nr ~dr ~k:ns ~u in
+          let nr' = if compacts then u else nr in
+          ( { i with
+              n_dims = { i.n_dims with Cost.ns; nr = nr' };
+              tuple_ratio = fi ns /. fi (max 1 nr') },
+            if compacts then Printf.sprintf "; compacts R to ~%d of %d rows" u nr
+            else "" )
         in
-        let v = { v1 with shape; norm } in
-        (match v1.norm with
-        | Some info ->
+        let selected = Option.map selected v1.norm in
+        let v = { v1 with shape; norm = Option.map fst selected } in
+        (match (v1.norm, selected) with
+        | Some info, Some (_, compaction) ->
           note rpath e v
             ~standard:(Cost.standard info.n_dims Cost.Selection)
             ~factorized:(Cost.factorized info.n_dims Cost.Selection)
@@ -642,10 +652,10 @@ let analyze_with lookup root =
             ~rule:
               (Printf.sprintf
                  "selection pushed below join: per-table masks → select_rows \
-                  (est. selectivity %.2f)"
-                 sel)
+                  (est. selectivity %.3g)%s"
+                 sel compaction)
             ()
-        | None ->
+        | _ ->
           if v1.repr <> R_top then
             emit W004 rpath
               "filter over a materialized operand is a post-hoc row mask; \

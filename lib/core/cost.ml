@@ -159,6 +159,21 @@ let factorized_seconds ?(threads = 1) dims op =
 let speedup_measured ?(threads = 1) dims op =
   standard_seconds ~threads dims op /. factorized_seconds ~threads dims op
 
+(* Selection-aware compaction: §3.7 applied to the selected shape. A
+   k-row selection σ·K of one attribute part references u ≤ min(k, n_R)
+   distinct rows of R; with P the 0/1 projection onto them,
+   σ·K·R = K′·(P·R), so gathering those rows shrinks every later
+   product over the selection from n_R to u attribute rows. The gather
+   moves u·d_R scalars and re-indexes (a rank pass over n_R, a re-map
+   of the k keys); one single-column product then skips (n_R − u)·d_R
+   multiply-adds. Both sides count in La.Flops units (one per gathered
+   scalar, two per multiply-add) at the same kernel rate, so a
+   calibration would cancel: the rule depends on the shape alone. *)
+let compacts ~nr ~dr ~k ~u =
+  let gather = (f u *. f dr) +. f nr +. f k in
+  let saving = 2.0 *. f (nr - u) *. f dr in
+  gather < saving
+
 (* Asymptotic speed-up limits from Table 11: 1 + FR as TR → ∞ (linear
    ops), (1 + FR)² for crossprod. *)
 let limit_tuple_ratio ~feature_ratio op =

@@ -85,6 +85,17 @@ val speedup_measured : ?threads:int -> dims -> op -> float
 (** [standard_seconds / factorized_seconds]; equals {!speedup} until a
     calibration is installed. *)
 
+val compacts : nr:int -> dr:int -> k:int -> u:int -> bool
+(** Selection-aware compaction (§3.7 on the selected shape): whether a
+    [k]-row selection of an [nr × dr] attribute table whose composed
+    mapping references [u] distinct rows should gather those rows
+    (σ·K·R = K′·(P·R)). True when the gather — [u·dr] scalars plus the
+    [nr + k] index work — costs less than the [(nr − u)·dr]
+    multiply-adds one single-column product over the selection saves.
+    Uses only the shape: both sides run at the same kernel rate, so the
+    calibration cancels. {!Normalized.select_rows} asks it at run time
+    and {!Check} statically, with an estimated [u]. *)
+
 val limit_tuple_ratio : feature_ratio:float -> op -> float
 (** Table 11's asymptotic speed-up as TR → ∞: [1 + FR] for linear ops,
     [(1 + FR)²] for the cross-product, [14(1+FR)²/(2FR+3)] for the

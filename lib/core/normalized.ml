@@ -152,11 +152,46 @@ let redundancy_ratio t =
   let n = base_rows t.body and d = base_cols t.body in
   float_of_int (n * d) /. float_of_int (max 1 (storage_size t))
 
-(* Row subset T[idx, ] as a normalized matrix: select the rows of S and
-   *compose* the indicator mappings — R is shared untouched, so the
-   subset costs O(|idx|·d_S), not O(|idx|·d). This is what makes
-   cross-validation folds and mini-batches (the paper's footnote-2 SGD
-   future work) factorized operations. *)
+(* One attribute part of a row selection. The composed mapping
+   references u distinct rows of R. When Cost prices their gather below
+   the work it saves, R is compacted to those rows in ascending original
+   order and the indicator re-mapped to u columns: σ·K·R = K′·(P·R).
+   Ascending order keeps every output cell's accumulation order, so the
+   products over the compacted part match the shared-R ones bitwise on
+   finite operands (crossprod(T) only while R fits one reduction chunk;
+   see the interface). Otherwise R is shared untouched. *)
+let select_part idx { ind; mat } =
+  let mapping = Indicator.mapping ind in
+  let composed = Array.map (fun i -> mapping.(i)) idx in
+  let nr = Indicator.cols ind in
+  let seen = Array.make nr false in
+  Array.iter (fun r -> seen.(r) <- true) composed ;
+  let u = Array.fold_left (fun u s -> if s then u + 1 else u) 0 seen in
+  if not (Cost.compacts ~nr ~dr:(Mat.cols mat) ~k:(Array.length idx) ~u) then
+    { ind = Indicator.create ~cols:nr composed; mat }
+  else begin
+    let keep = Array.make u 0 and rank = Array.make nr 0 in
+    let next = ref 0 in
+    Array.iteri
+      (fun r s ->
+        if s then begin
+          keep.(!next) <- r ;
+          rank.(r) <- !next ;
+          incr next
+        end)
+      seen ;
+    { ind = Indicator.create ~cols:u (Array.map (fun r -> rank.(r)) composed);
+      mat = Mat.gather_rows mat keep }
+  end
+
+(* Row subset T[idx, ] as a normalized matrix: gather the rows of S and
+   *compose* the indicator mappings, so the subset never costs
+   O(|idx|·d). Each attribute part is compacted to the rows the
+   selection references or shared untouched, whichever Cost prices
+   cheaper (see [select_part]). This is what makes cross-validation
+   folds, mini-batches (the paper's footnote-2 SGD future work) and
+   served batches factorized operations whose R-side work scales with
+   the selection, not with R. *)
 let select_rows t idx =
   if t.trans then invalid_arg "Normalized.select_rows: transposed input" ;
   let n = base_rows t.body in
@@ -165,14 +200,7 @@ let select_rows t idx =
       if i < 0 || i >= n then invalid_arg "Normalized.select_rows: bad index")
     idx ;
   let ent = Option.map (fun s -> Mat.gather_rows s idx) t.body.ent in
-  let parts =
-    List.map
-      (fun { ind; mat } ->
-        let mapping = Indicator.mapping ind in
-        let mapping' = Array.map (fun i -> mapping.(i)) idx in
-        { ind = Indicator.create ~cols:(Indicator.cols ind) mapping'; mat })
-      t.body.parts
-  in
+  let parts = List.map (select_part idx) t.body.parts in
   { body = { ent; parts }; trans = false; names = t.names; memo = fresh_memo () }
 
 (* Map every base matrix through [f], keeping structure — the shape of

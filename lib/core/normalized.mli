@@ -128,8 +128,20 @@ val feature_ratio : t -> float
 
 val select_rows : t -> int array -> t
 (** Row subset T[idx, ] as a normalized matrix: gathers S's rows and
-    composes the indicator mappings; the Rᵢ are shared untouched, so the
-    cost is O(|idx|·d_S). Duplicate and reordered indices are allowed
+    composes the indicator mappings. Each attribute part is then
+    compacted when {!Cost.compacts} prices the gather cheaper than the
+    work it saves: Rᵢ is cut to the uᵢ rows the selection references,
+    gathered in ascending original order, and the indicator re-mapped
+    to uᵢ columns (σ·K·R = K′·(P·R)). It is the same logical matrix,
+    and ascending order keeps every output cell's accumulation order.
+    So every {!Rewrite} operator over it is bitwise-identical to the
+    shared-R selection on finite operands, with one exception:
+    [crossprod(T)] folds its reductions over Rᵢ's rows on
+    {!La.Exec.reduce}'s chunk grid, which splits at 4096 rows, so once
+    Rᵢ has that many it agrees to rounding only. Rᵢ is physically shared
+    only when compaction is declined, as it is when most of its rows are
+    referenced. Cost: O(|idx|·d_S + Σ n_Ri) plus O(uᵢ·d_Ri) per
+    compacted part. Duplicate and reordered indices are allowed
     (mini-batches, bootstrap samples, CV folds). Raises on transposed
     inputs or out-of-range indices. *)
 

@@ -78,12 +78,16 @@ let col_sums_nt body =
   in
   Dense.hcat blocks
 
+(* An unreferenced R row has count 0; its row sum is zeroed before the
+   dot so a non-finite value there cannot turn into 0·Inf = NaN. The
+   terms keep their order, so finite inputs keep their bits. *)
 let sum_nt body =
   let ent = match body.ent with Some s -> Mat.sum s | None -> 0.0 in
   List.fold_left
     (fun acc { ind; mat } ->
       let counts = Indicator.col_counts ind in
       let rs = Dense.col_to_array (Mat.row_sums mat) in
+      Array.iteri (fun r c -> if c = 0.0 then rs.(r) <- 0.0) counts ;
       acc +. Blas.dot counts rs)
     ent body.parts
 

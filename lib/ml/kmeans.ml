@@ -16,9 +16,10 @@ module Make (M : Morpheus.Data_matrix.S) = struct
 
   (* Initialize centroids from the data deterministically: spread k seed
      rows of T across the row range. [select_rows] keeps the extraction
-     factorized (and O(k·d) instead of the dense n×k one-hot selector's
-     O(n·d·k)); the k×k identity converts the k selected rows to a d×k
-     dense column block through the signature. *)
+     factorized, with R compacted to the k referenced rows, so it costs
+     O(k·d + n_R) instead of the dense n×k one-hot selector's O(n·d·k);
+     the k×k identity converts the k selected rows to a d×k dense
+     column block through the signature. *)
   let init_centroids t k =
     let n = M.rows t in
     let idx = Array.init k (fun j -> j * (n / k)) in

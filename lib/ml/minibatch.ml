@@ -2,8 +2,9 @@
    the paper's footnote 2 flags SGD as future work because it "updates
    the model after each example or mini-batch from T"; with
    Normalized.select_rows a mini-batch of T is itself a (small)
-   normalized matrix that shares R, so each step runs the factorized
-   LMM/tlmm rewrites on the batch: factorized SGD.
+   normalized matrix whose R is compacted to the rows the batch
+   references (or shared, when most are), so each step runs the
+   factorized LMM/tlmm rewrites at the batch's size: factorized SGD.
 
    This module is deliberately specific to Morpheus's normalized type
    (not the abstract signature): batch extraction is the point. *)
@@ -28,7 +29,7 @@ let epoch_order rng n =
 
 (* Factorized mini-batch GD for a GLM family. Each batch b:
      w ← w + α · T_bᵀ · g(T_b·w, Y_b)
-   where T_b = select_rows t b shares the attribute matrices. *)
+   where T_b = select_rows t b carries the attribute rows b references. *)
 let train ?(config = default_config) ~family t y =
   let n = Normalized.rows t in
   if Dense.rows y <> n then invalid_arg "Minibatch.train: bad target shape" ;

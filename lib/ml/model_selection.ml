@@ -1,8 +1,10 @@
 (* K-fold cross-validation over normalized matrices. Folds are row
-   subsets of T, and Normalized.select_rows keeps them factorized: every
-   fold shares the attribute tables, so CV costs k× the entity-side
-   work only — the factorized-ML benefit compounds across the folds
-   (the "model selection" workloads of Kumar et al. [27]). *)
+   subsets of T, and Normalized.select_rows keeps them factorized: a
+   fold references most attribute rows, so it shares the attribute
+   tables (a small validation fold may get them compacted), and CV
+   costs k× the entity-side work only — the factorized-ML benefit
+   compounds across the folds (the "model selection" workloads of
+   Kumar et al. [27]). *)
 
 open La
 open Morpheus

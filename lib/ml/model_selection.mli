@@ -1,5 +1,5 @@
 (** K-fold cross-validation over normalized matrices: folds are
-    factorized row subsets (shared attribute tables), so the
+    factorized row subsets ({!Morpheus.Normalized.select_rows}), so the
     factorized-ML benefit compounds across folds. *)
 
 open La

@@ -1,7 +1,8 @@
 (* Gaussian Naive Bayes over normalized matrices. Training needs only
    per-class feature means and variances — per-class column statistics
    of T — and each class's row subset is a factorized normalized matrix
-   ([Normalized.select_rows] shares the attribute tables), so the
+   ([Normalized.select_rows] keeps the attribute tables, compacted to
+   the rows the class references when that is cheaper), so the
    sufficient statistics come from Colops.col_means / col_stds without
    materializing anything: an ML algorithm the prior factorized-ML
    systems did not cover, expressible entirely in this framework. *)

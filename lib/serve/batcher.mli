@@ -1,9 +1,10 @@
 (** Micro-batching: concurrent scoring requests against the same model
     (and dataset) coalesce into one fused execution — for factorized
     scoring, one [select_rows] + one factorized matrix-vector product
-    instead of N row gathers. The paper's rewrites make the batch cost
-    O(batch·d_S + d_R) where N independent requests would each pay the
-    full [Rᵢ]-side work.
+    instead of N row gathers. The paper's rewrites, with [select_rows]
+    compacting each [Rᵢ] to the u rows the batch references, make the
+    batch cost O(batch·d_S + u·d_R), where N independent requests would
+    each pay their own [Rᵢ]-side work.
 
     Generic over key, payload, and result so the deadline/shedding
     semantics are testable with an injected (slow, failing, counting)

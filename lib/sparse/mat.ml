@@ -110,9 +110,13 @@ let div_elem a b = lift2 Dense.div_elem a b
 let gather_rows m idx =
   match m with
   | D d ->
-    Flops.add (Array.length idx * Dense.cols d) ;
-    D (Dense.init (Array.length idx) (Dense.cols d) (fun i j ->
-           Dense.unsafe_get d idx.(i) j))
+    let c = Dense.cols d in
+    Flops.add (Array.length idx * c) ;
+    let out = Dense.create (Array.length idx) c in
+    Array.iteri
+      (fun i r -> Array.blit (Dense.data d) (r * c) (Dense.data out) (i * c) c)
+      idx ;
+    D out
   | S c -> S (Csr.gather_rows c idx)
 
 (* Horizontal concatenation; sparse iff all blocks are sparse. *)

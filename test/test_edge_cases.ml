@@ -165,6 +165,20 @@ let test_scalar_extremes () =
   let expected = Dense.map (fun v -> 1.0 /. ((v *. v) +. 1.0)) m in
   check_close "1/(x²+1)" expected (Gen.ground_truth inv)
 
+(* An R row no tuple references may hold a non-finite value after a
+   scalar map (log 0 = -inf): factorized sum(T) must skip it, as the
+   materialized sum and colSums do, instead of forming 0·inf = NaN. *)
+let test_sum_skips_unreferenced_nonfinite () =
+  let s = Mat.of_dense (Dense.of_arrays [| [| 1.; 2. |]; [| 3.; 4. |]; [| 5.; 6. |] |]) in
+  let r = Mat.of_dense (Dense.of_arrays [| [| 1.; 1. |]; [| 2.; 2. |]; [| 0.; 3. |] |]) in
+  let k = Indicator.create ~cols:3 [| 0; 1; 0 |] in
+  let t = Rewrite.map_scalar log (Normalized.pkfk ~s ~k ~r) in
+  let expected = Dense.sum (Materialize.to_dense t) in
+  Alcotest.(check bool) "materialized sum is finite" true (Float.is_finite expected) ;
+  Alcotest.(check (float 1e-12)) "sum(T)" expected (Rewrite.sum t) ;
+  Alcotest.(check (float 1e-12)) "sum(colSums T)" expected
+    (Dense.sum (Rewrite.col_sums t))
+
 (* ---- M:N join where every tuple matches exactly one (PK-FK limit) ---- *)
 
 let test_mn_reduces_to_pkfk () =
@@ -235,6 +249,8 @@ let () =
       ( "normalized-edges",
         [ Alcotest.test_case "select_rows identity/single" `Quick test_select_rows_empty_and_full;
           Alcotest.test_case "scalar extremes" `Quick test_scalar_extremes;
+          Alcotest.test_case "sum skips unreferenced non-finite rows" `Quick
+            test_sum_skips_unreferenced_nonfinite;
           Alcotest.test_case "M:N reduces to PK-FK" `Quick test_mn_reduces_to_pkfk;
           Alcotest.test_case "construction validation" `Quick test_construction_validation;
           Alcotest.test_case "lmm dimension errors" `Quick test_lmm_dim_error_message ] ) ]

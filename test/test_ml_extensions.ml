@@ -34,11 +34,29 @@ let test_select_rows_matches_dense () =
 
 let test_select_rows_shares_attributes () =
   let t = Gen.normalized ~seed:42 Gen.Pkfk in
-  let sub = Normalized.select_rows t [| 0; 1; 2 |] in
-  (* physical sharing of R *)
+  (* every row references all of R: compaction is declined and R is
+     physically shared *)
+  let all = Normalized.select_rows t (Array.init (Normalized.rows t) Fun.id) in
   List.iter2
     (fun (p : Normalized.part) (p' : Normalized.part) ->
       Alcotest.(check bool) "R shared" true (p.Normalized.mat == p'.Normalized.mat))
+    (Normalized.parts t) (Normalized.parts all) ;
+  (* three rows reference few of R's rows: R is compacted to exactly
+     the referenced rows, in ascending original order *)
+  let idx = [| 0; 1; 2 |] in
+  let sub = Normalized.select_rows t idx in
+  List.iter2
+    (fun (p : Normalized.part) (p' : Normalized.part) ->
+      let keys =
+        List.sort_uniq compare
+          (Array.to_list (Array.map (Indicator.col_of_row p.Normalized.ind) idx))
+      in
+      let r = p.Normalized.mat in
+      Alcotest.(check bool) "rule compacts" true
+        (Cost.compacts ~nr:(Mat.rows r) ~dr:(Mat.cols r) ~k:3 ~u:(List.length keys)) ;
+      check_close "R compacted"
+        (Mat.dense (Mat.gather_rows r (Array.of_list keys)))
+        (Mat.dense p'.Normalized.mat))
     (Normalized.parts t) (Normalized.parts sub)
 
 let test_select_rows_rewrites () =

@@ -8,7 +8,9 @@
    accumulation orders); projection and group-by agree with their
    [_mat] twins; the structural rewrites fire (filter fusion,
    projection collapse, selection below projection, σᵀσ → masked
-   crossprod); the relational diagnostics trigger; and a plan file
+   crossprod); select_rows' compaction agrees with the shared-R
+   selection on every Table-1 operator and takes the branch Cost
+   prices; the relational diagnostics trigger; and a plan file
    with a predicate round-trips parse → check → optimize → explain
    with the pushdown narrated. Registered under @parcheck at 1 and 4
    domains: masks, gathers, and the kernels they feed must be
@@ -31,8 +33,12 @@ let contains ~sub s =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   m = 0 || at 0
 
-(* Both arms must gather the same floats: exact equality, not approx. *)
-let bits_equal a b = Dense.dims a = Dense.dims b && Dense.max_abs_diff a b = 0.0
+(* Both arms must gather the same floats: equal bits, not approx. *)
+let bits_equal a b =
+  Dense.dims a = Dense.dims b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       (Dense.data a) (Dense.data b)
 
 let gather_rows m ids =
   Dense.of_arrays
@@ -198,6 +204,165 @@ let test_optimize_masked_crossprod () =
     Alcotest.(check bool) "predicate preserved" true (Pred.equal p p0)
   | _ -> Alcotest.failf "expected Crossprod (Filter _), got %s" (Ast.to_string opt)
 
+(* ---- the compaction oracle ----
+
+   select_rows may compact an attribute part to the rows its selection
+   references. The reference is the shared-R selection built by hand
+   from the composed mappings; every Table-1 operator must agree with
+   it bit for bit, and each part must have taken the branch Cost
+   prices. *)
+
+let shared_selection t idx =
+  let part (p : Normalized.part) =
+    let m = Indicator.mapping p.Normalized.ind in
+    ( Indicator.create ~cols:(Indicator.cols p.Normalized.ind)
+        (Array.map (fun i -> m.(i)) idx),
+      p.Normalized.mat )
+  in
+  Normalized.make
+    ?ent:(Option.map (fun s -> Mat.gather_rows s idx) (Normalized.ent t))
+    (List.map part (Normalized.parts t))
+
+(* Every operator, on fixed multipliers; [Error] carries the exception
+   so both sides must also fail alike. *)
+let operators t =
+  let n, d = Normalized.dims t in
+  let x rows cols seed = Dense.gaussian ~rng:(Rng.of_int seed) rows cols in
+  let scalar v = Dense.make 1 1 v in
+  [ ("lmm", fun () -> Rewrite.lmm t (x d 2 1));
+    ("rmm", fun () -> Rewrite.rmm (x 2 n 2) t);
+    ("tlmm", fun () -> Rewrite.tlmm t (x n 2 3));
+    ("crossprod", fun () -> Rewrite.crossprod t);
+    ("crossprod(T')", fun () -> Rewrite.crossprod (Rewrite.transpose t));
+    ("row_sums", fun () -> Rewrite.row_sums t);
+    ("col_sums", fun () -> Rewrite.col_sums t);
+    ("sum", fun () -> scalar (Rewrite.sum t));
+    ("row_sums_sq", fun () -> Rewrite.row_sums_sq t);
+    ("col_sums_sq", fun () -> Rewrite.col_sums_sq t) ]
+  |> List.map (fun (name, f) ->
+         (name, try Ok (f ()) with e -> Error (Printexc.to_string e)))
+
+(* The R rows a selection references in one part, ascending, and
+   whether Cost prices their gather cheaper. *)
+let referenced (p : Normalized.part) idx =
+  List.sort_uniq compare
+    (Array.to_list (Array.map (Indicator.col_of_row p.Normalized.ind) idx))
+
+let priced_compact (p : Normalized.part) idx =
+  Cost.compacts ~nr:(Mat.rows p.Normalized.mat) ~dr:(Mat.cols p.Normalized.mat)
+    ~k:(Array.length idx) ~u:(List.length (referenced p idx))
+
+(* The id sets: one row; duplicates and reordering; the longest prefix
+   of a reversed order that some part compacts; every row; empty. *)
+let id_sets t =
+  let n = Normalized.rows t in
+  let rev = Array.init n (fun i -> n - 1 - i) in
+  let rec longest m =
+    if m = 0 then [| 0 |]
+    else if List.exists (fun p -> priced_compact p (Array.sub rev 0 m)) (Normalized.parts t)
+    then Array.sub rev 0 m
+    else longest (m - 1)
+  in
+  [ ("one row", [| n / 2 |]);
+    ("duplicates", [| n - 1; 0; n - 1; 1 mod n; 0 |]);
+    ("compacting subset", longest (n - 1));
+    ("every row", Array.init n Fun.id);
+    ("empty", [||]) ]
+
+(* Which branch each part took; fails when it is not the priced one. *)
+let branches label t idx sub =
+  List.map2
+    (fun (p : Normalized.part) (p' : Normalized.part) ->
+      let keys = referenced p idx in
+      let u = List.length keys and r = p.Normalized.mat in
+      let compacted = priced_compact p idx in
+      if compacted then begin
+        if Mat.rows p'.Normalized.mat <> u || Indicator.cols p'.Normalized.ind <> u then
+          Alcotest.failf "%s: compacted R has %d rows, expected %d" label
+            (Mat.rows p'.Normalized.mat) u ;
+        if not (bits_equal (Mat.dense (Mat.gather_rows r (Array.of_list keys)))
+                  (Mat.dense p'.Normalized.mat)) then
+          Alcotest.failf "%s: compacted R is not the ascending gather" label
+      end
+      else if p'.Normalized.mat != r then
+        Alcotest.failf "%s: declined R is not physically shared" label ;
+      compacted)
+    (Normalized.parts t) (Normalized.parts sub)
+
+let test_compaction_oracle () =
+  let compacted = ref 0 and declined = ref 0 in
+  List.iter
+    (fun shape ->
+      List.iter
+        (fun sparse ->
+          for seed = 0 to 3 do
+            let t = Gen.normalized ~seed ~sparse shape in
+            List.iter
+              (fun (set, idx) ->
+                let label =
+                  Printf.sprintf "%s%s seed %d, %s" (Gen.shape_name shape)
+                    (if sparse then "/sparse" else "/dense") seed set
+                in
+                let sub = Normalized.select_rows t idx in
+                let taken = branches label t idx sub in
+                List.iter (fun c -> incr (if c then compacted else declined)) taken ;
+                if set = "every row" && List.exists Fun.id taken then
+                  Alcotest.failf "%s: a selection of every row compacted" label ;
+                List.iter2
+                  (fun (op, got) (_, want) ->
+                    match (got, want) with
+                    | Ok g, Ok w when bits_equal g w -> ()
+                    | Error g, Error w when g = w -> ()
+                    | _ -> Alcotest.failf "%s: %s differs from the shared-R selection" label op)
+                  (operators sub) (operators (shared_selection t idx)) ;
+                if set = "empty" then
+                  List.iter
+                    (fun (op, got) ->
+                      if List.mem op [ "lmm"; "crossprod"; "row_sums"; "col_sums"; "sum" ]
+                         && Result.is_error got
+                      then Alcotest.failf "%s: %s failed on an empty selection" label op)
+                    (operators sub))
+              (id_sets t)
+          done)
+        [ false; true ])
+    Gen.shapes ;
+  Alcotest.(check bool) "the rule compacts some parts" true (!compacted > 0) ;
+  Alcotest.(check bool) "the rule declines some parts" true (!declined > 0)
+
+(* An R of 5000 rows spans two of Exec.reduce's chunks, while its
+   compacted rows fit one: crossprod(T)'s reductions over R then group
+   differently, so it agrees to a forward-error bound, γ_n·(|T|ᵀ|T|)
+   on each side; every other operator stays bitwise. *)
+let test_compaction_beyond_one_chunk () =
+  let rng = Rng.of_int 17 in
+  let ns = 20_000 and nr = 5_000 in
+  let t =
+    Normalized.pkfk
+      ~s:(Mat.of_dense (Dense.gaussian ~rng ns 2))
+      ~k:(Indicator.random ~rng ~rows:ns ~cols:nr ())
+      ~r:(Mat.of_dense (Dense.gaussian ~rng nr 8))
+  in
+  let idx = Array.init 2_000 (fun i -> i * 10) in
+  let sub = Normalized.select_rows t idx and shared = shared_selection t idx in
+  Alcotest.(check bool) "compacted below one chunk" true
+    (List.for_all
+       (fun (p : Normalized.part) -> Mat.rows p.Normalized.mat < 4_096)
+       (Normalized.parts sub)) ;
+  List.iter2
+    (fun (op, got) (_, want) ->
+      match (got, want) with
+      | Ok g, Ok w when op = "crossprod" ->
+        let abs_cp = Rewrite.crossprod (Rewrite.map_scalar Float.abs shared) in
+        let gamma = 2.0 *. float_of_int (Array.length idx) *. epsilon_float in
+        Dense.iteri
+          (fun i j bound ->
+            if Float.abs (Dense.get g i j -. Dense.get w i j) > gamma *. bound then
+              Alcotest.failf "crossprod (%d,%d) outside γ_n·|T|ᵀ|T|" i j)
+          abs_cp
+      | Ok g, Ok w when bits_equal g w -> ()
+      | _ -> Alcotest.failf "%s differs from the shared-R selection" op)
+    (operators sub) (operators shared)
+
 (* ---- relational diagnostics ---- *)
 
 let codes_of report =
@@ -224,6 +389,45 @@ let test_w004_materialized_filter () =
   in
   Alcotest.(check bool) "W004 diagnosed" true (List.mem "W004" (codes_of report)) ;
   Alcotest.(check bool) "warning only" true (Check.is_ok report)
+
+(* Check prices the compaction select_rows will make: over the planner
+   bench's shape (TR = 20, FR = 4), a 0.001-selective filter compacts R
+   and its downstream LMM gets cheaper; a 0.5-selective one does
+   neither. *)
+let test_check_narrates_compaction () =
+  let ns = 40_000 and ds = 20 and nr = 2_000 and dr = 80 in
+  let env =
+    [ ("T", Check.normalized_value ~ns ~ds ~nr ~dr ());
+      ("w", Check.dense_value (ds + dr) 1) ]
+  in
+  let eq c = Pred.Cmp (c, Pred.Eq, 1.0) in
+  let run p =
+    let report =
+      Check.analyze_abstract ~env Expr.(filter p (var "T") *@ var "w")
+    in
+    let node prefix =
+      List.find
+        (fun (a : Check.annot) ->
+          String.length a.Check.a_label >= String.length prefix
+          && String.sub a.Check.a_label 0 (String.length prefix) = prefix)
+        report.Check.nodes
+    in
+    let filter = node "filter" and lmm = node "mult" in
+    let narrated =
+      contains ~sub:"compacts R to ~"
+        (Option.value filter.Check.a_rule ~default:"")
+      && contains ~sub:"compacts R to ~" (Explain.describe_plan report)
+    in
+    let rows = int_of_float (ceil (Pred.selectivity p *. float_of_int ns)) in
+    let whole = Cost.factorized { Cost.ns = rows; ds; nr; dr } (Cost.Lmm 1) in
+    (narrated, Option.get lmm.Check.a_factorized, whole)
+  in
+  let narrated, lmm, whole = run Pred.(And (eq "c0", And (eq "c1", eq "c2"))) in
+  Alcotest.(check bool) "0.001: compaction narrated" true narrated ;
+  Alcotest.(check bool) "0.001: downstream LMM cost falls" true (lmm < whole) ;
+  let narrated, lmm, whole = run (Pred.Cmp ("c0", Pred.Ge, 0.0)) in
+  Alcotest.(check bool) "0.5: no compaction narrated" false narrated ;
+  Alcotest.(check (float 0.0)) "0.5: downstream LMM priced at n_R" whole lmm
 
 (* ---- plan-file pipeline: parse → check → optimize → explain ---- *)
 
@@ -267,6 +471,11 @@ let () =
           qc prop_scoring_pushdown;
           qc prop_project_pushdown;
           qc prop_group_agg ] );
+      ( "compaction",
+        [ Alcotest.test_case "select_rows = shared-R selection, bitwise" `Quick
+            test_compaction_oracle;
+          Alcotest.test_case "R beyond one reduction chunk" `Quick
+            test_compaction_beyond_one_chunk ] );
       ( "rewrite",
         [ Alcotest.test_case "filter fusion" `Quick test_simplify_filter_fusion;
           Alcotest.test_case "projection collapse" `Quick
@@ -279,7 +488,9 @@ let () =
         [ Alcotest.test_case "E005 unknown column" `Quick test_e005_unknown_column;
           Alcotest.test_case "E006 scalar operand" `Quick test_e006_scalar_operand;
           Alcotest.test_case "W004 materialized filter" `Quick
-            test_w004_materialized_filter ] );
+            test_w004_materialized_filter;
+          Alcotest.test_case "filter narrates R compaction" `Quick
+            test_check_narrates_compaction ] );
       ( "plan",
         [ Alcotest.test_case "parse/check/optimize/explain" `Quick
             test_plan_roundtrip ] ) ]
