@@ -18,23 +18,6 @@ open Workload
 let shard_counts = [ 1; 2; 4 ]
 let client_threads = 4
 
-let require_all_active router =
-  let j =
-    match
-      Client.with_client ~socket:router (fun c ->
-          Client.call c Protocol.Membership)
-    with
-    | Ok j -> j
-    | Error (code, msg) ->
-      failwith (Printf.sprintf "membership: [%s] %s" code msg)
-  in
-  let state (_, m) = Option.bind (Json.member "state" m) Json.to_str in
-  let members =
-    match Json.member "members" j with Some (Json.Obj ms) -> ms | _ -> []
-  in
-  if members = [] || List.exists (fun m -> state m <> Some "active") members then
-    failwith ("cluster bench: a shard is not active: " ^ Json.to_string j)
-
 (* One point: [n] shards, [client_threads] threads for [window] s. *)
 let point ~bin (fx : Fleet.fixture) ~window n =
   Fleet.with_fleet ~bin fx ~shards:n
@@ -55,7 +38,7 @@ let point ~bin (fx : Fleet.fixture) ~window n =
       failwith
         (Printf.sprintf "cluster bench: %d requests failed: %s" loop.failed e))
     loop.error ;
-  require_all_active router ;
+  Fleet.require_all_active router ;
   loop
 
 let run cfg =

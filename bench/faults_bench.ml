@@ -1,18 +1,22 @@
 (* Transport-fault bench: closed-loop routed scoring throughput while
    the shards' transport layer misbehaves. Two shard server processes
-   and one router run from the CLI binary (MORPHEUS_BIN); each
-   measurement arms 0, 1, or 2 transport fault points in the *shard*
-   processes via MORPHEUS_FAULTS in their environment — dropped reads
-   (`endpoint.read`) and torn frames (`endpoint.write.torn`) — and
-   runs the same sweep with hedging off and on.
+   and one router run from the CLI binary (MORPHEUS_BIN); each point
+   arms transport fault points in the *shard* processes via
+   MORPHEUS_FAULTS in their environment:
+   - none, read, read+torn: 0, 1 or 2 byte-level faults on both
+     shards — dropped reads (`endpoint.read`) and torn frames
+     (`endpoint.write.torn`);
+   - slow-owner: shard 0 alone stalls 2% of its writes by 50 ms
+     (`endpoint.stall`). Its health probes still answer well within
+     the router's probe timeout, so the point measures a slow owner,
+     not failover, and it fails unless every shard is still active at
+     the end of its window.
 
    Clients issue score_ids with the retrying client (transport errors
    are retryable and idempotent, so every accepted answer is still
    bitwise-identical to a fault-free run); the reported quantities are
-   requests/s, success-latency p95, and how many requests exhausted
-   the retry budget. What the sweep shows: how much throughput the
-   retry + failover machinery gives back under byte-level faults, and
-   what hedging buys on top.
+   requests/s, success-latency p50/p95/p99 (a slow owner shows at p99,
+   not at p95), and how many requests exhausted the retry budget.
 
    Results go to stdout as a table and to BENCH_faults.json. *)
 
@@ -22,11 +26,14 @@ open Workload
 
 let client_threads = 4
 
-(* (label, MORPHEUS_FAULTS spec for the shards, armed point count) *)
+(* (label, MORPHEUS_FAULTS spec, armed point count, slow owner). The
+   byte-fault points arm both shards and fail probes legitimately; the
+   slow owner arms shard 0 alone and must leave every shard active. *)
 let fault_configs =
-  [ ("none", "", 0);
-    ("read", "seed=7,endpoint.read=0.02", 1);
-    ("read+torn", "seed=7,endpoint.read=0.02,endpoint.write.torn=0.01", 2)
+  [ ("none", "", 0, false);
+    ("read", "seed=7,endpoint.read=0.02", 1, false);
+    ("read+torn", "seed=7,endpoint.read=0.02,endpoint.write.torn=0.01", 2, false);
+    ("slow-owner", "seed=7,endpoint.stall=0.02:delay50", 1, true)
   ]
 
 let policy =
@@ -38,30 +45,35 @@ let policy =
     retry_codes = "unavailable" :: "rejected" :: Client.default_retry.retry_codes
   }
 
-(* One point: 2 shards with [faults] armed in their environment, a
-   router (hedging per [hedge]), [client_threads] threads of retried
-   score_ids for [window] s. A request that exhausts its retry budget
-   under injected faults fails with a structured transient error, never
-   a wrong answer. *)
-let point ~bin (fx : Fleet.fixture) ~window ~faults ~hedge =
-  let env = if faults = "" then [] else [ "MORPHEUS_FAULTS=" ^ faults ] in
-  let route_args = if hedge then [ "--hedge" ] else [] in
-  Fleet.with_fleet ~bin ~env ~route_args fx ~shards:2
+(* One point: 2 shards with [faults] armed (on shard 0 alone for a
+   [slow] owner), a router at the fleet defaults, [client_threads]
+   threads of retried score_ids for [window] s. A request that exhausts
+   its retry budget under injected faults fails with a structured
+   transient error, never a wrong answer. *)
+let point ~bin (fx : Fleet.fixture) ~window ~faults ~slow =
+  let env i =
+    if faults = "" || (slow && i <> 0) then [] else [ "MORPHEUS_FAULTS=" ^ faults ]
+  in
+  Fleet.with_fleet ~bin ~env fx ~shards:2
   @@ fun router ->
-  Harness.closed_loop ~threads:client_threads ~stop:(Seconds window)
-    (fun th send ->
-      let rng = Rng.of_int (0xfa017 + th) in
-      send (fun i ->
-          let ids =
-            Array.init 8 (fun k -> ((th * 7919) + (i * 13) + (29 * k)) mod fx.rows)
-          in
-          Client.score_ids_retry ~policy ~rng ~socket:router ~model:fx.model
-            ~dataset:fx.dataset ids))
+  let loop =
+    Harness.closed_loop ~threads:client_threads ~stop:(Seconds window)
+      (fun th send ->
+        let rng = Rng.of_int (0xfa017 + th) in
+        send (fun i ->
+            let ids =
+              Array.init 8 (fun k -> ((th * 7919) + (i * 13) + (29 * k)) mod fx.rows)
+            in
+            Client.score_ids_retry ~policy ~rng ~socket:router ~model:fx.model
+              ~dataset:fx.dataset ids))
+  in
+  if slow then Fleet.require_all_active router ;
+  loop
 
 let run cfg =
   Harness.section
-    "Transport chaos: routed throughput with 0/1/2 armed fault points, \
-     hedging off/on" ;
+    "Transport chaos: routed throughput under byte-level faults and a slow \
+     owner" ;
   match Fleet.cli () with
   | None -> ()
   | Some bin ->
@@ -75,24 +87,20 @@ let run cfg =
        host cores online: %d\n"
       rows client_threads window Harness.cores_online ;
     let results =
-      List.concat_map
-        (fun hedge ->
-          List.map
-            (fun (label, faults, armed) ->
-              let loop = point ~bin fx ~window ~faults ~hedge in
-              let p q = Timing.percentile q loop.latencies in
-              ( label, armed, hedge, float_of_int loop.ok /. loop.elapsed,
-                loop.failed, p 50.0, p 95.0 ))
-            fault_configs)
-        [ false; true ]
+      List.map
+        (fun (label, faults, armed, slow) ->
+          let loop = point ~bin fx ~window ~faults ~slow in
+          let p q = Timing.percentile q loop.latencies in
+          ( label, armed, float_of_int loop.ok /. loop.elapsed, loop.failed,
+            p 50.0, p 95.0, p 99.0 ))
+        fault_configs
     in
-    Printf.printf "\n%-11s %6s %6s %10s %10s %10s %10s\n" "faults" "armed"
-      "hedge" "req/s" "p50" "p95" "exhausted" ;
+    Printf.printf "\n%-11s %6s %10s %10s %10s %10s %10s\n" "faults" "armed"
+      "req/s" "p50" "p95" "p99" "exhausted" ;
     List.iter
-      (fun (label, armed, hedge, rate, exhausted, p50, p95) ->
-        Printf.printf "%-11s %6d %6s %10.0f %10s %10s %10d\n" label armed
-          (if hedge then "on" else "off")
-          rate (Harness.ts p50) (Harness.ts p95) exhausted)
+      (fun (label, armed, rate, exhausted, p50, p95, p99) ->
+        Printf.printf "%-11s %6d %10.0f %10s %10s %10s %10d\n" label armed
+          rate (Harness.ts p50) (Harness.ts p95) (Harness.ts p99) exhausted)
       results ;
     let open Harness in
     write_report cfg "BENCH_faults.json"
@@ -105,12 +113,14 @@ let run cfg =
             ] );
         ( "points",
           list
-            (fun (label, armed, hedge, rate, exhausted, p50, p95) ->
+            (fun (label, armed, rate, exhausted, p50, p95, p99) ->
               Json.Obj
                 [ ("faults", Json.Str label); ("points_armed", int armed);
-                  ("hedge", Json.Bool hedge); ("req_per_s", num rate);
-                  ("retry_exhausted", int exhausted);
-                  ("latency_s", Json.Obj [ ("p50", num p50); ("p95", num p95) ])
+                  ("req_per_s", num rate); ("retry_exhausted", int exhausted);
+                  ( "latency_s",
+                    Json.Obj
+                      [ ("p50", num p50); ("p95", num p95); ("p99", num p99) ]
+                  )
                 ])
             results )
       ]

@@ -80,11 +80,11 @@ let fixture ~root ~rows =
    handlers keep the probes answered. *)
 let shard_handlers = "6"
 
-(* [f router] with [shards] serve processes ([env] added to their
-   environment) behind one router ([route_args] added to its command
-   line), once every process answers health checks. Every process is
-   reaped on the way out. *)
-let with_fleet ~bin ?(env = []) ?(route_args = []) fx ~shards f =
+(* [f router] with [shards] serve processes ([env i] added to shard
+   [i]'s environment) behind one router ([route_args] added to its
+   command line), once every process answers health checks. Every
+   process is reaped on the way out. *)
+let with_fleet ~bin ?(env = fun _ -> []) ?(route_args = []) fx ~shards f =
   let addr () = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
   let shard_addrs = List.init shards (fun _ -> addr ()) in
   let pids = ref [] in
@@ -94,9 +94,9 @@ let with_fleet ~bin ?(env = []) ?(route_args = []) fx ~shards f =
       List.iter (fun pid -> try Unix.kill pid Sys.sigterm with _ -> ()) !pids ;
       List.iter (fun pid -> try ignore (Unix.waitpid [] pid) with _ -> ()) !pids)
   @@ fun () ->
-  List.iter
-    (fun listen ->
-      start ~env
+  List.iteri
+    (fun i listen ->
+      start ~env:(env i)
         [ "serve"; "--registry"; fx.registry; "--listen"; listen; "--handlers";
           shard_handlers; "--max-wait-ms"; "1"
         ])
@@ -112,3 +112,23 @@ let with_fleet ~bin ?(env = []) ?(route_args = []) fx ~shards f =
            shard_addrs)) ;
   await_healthy router ;
   f router
+
+(* Fails unless [router] reports every shard active: a point whose
+   shard was suspected or ejected mid-window measured a degraded
+   fleet, not the configuration it names. *)
+let require_all_active router =
+  let j =
+    match
+      Client.with_client ~socket:router (fun c ->
+          Client.call c Protocol.Membership)
+    with
+    | Ok j -> j
+    | Error (code, msg) ->
+      failwith (Printf.sprintf "membership: [%s] %s" code msg)
+  in
+  let state (_, m) = Option.bind (Json.member "state" m) Json.to_str in
+  let members =
+    match Json.member "members" j with Some (Json.Obj ms) -> ms | _ -> []
+  in
+  if members = [] || List.exists (fun m -> state m <> Some "active") members then
+    failwith ("a shard is not active: " ^ Json.to_string j)

@@ -749,7 +749,7 @@ let serve_cmd =
 
 let route listen shards vnodes block handlers breaker_threshold
     breaker_cooldown_ms lockdep probe_interval_ms eject_after rejoin_after
-    hedge hedge_rate hedge_burst limit_target_ms =
+    limit_target_ms =
   if lockdep then Analysis.Sync.enable_lockdep () ;
   let parse_shard spec =
     match String.index_opt spec '=' with
@@ -777,10 +777,6 @@ let route listen shards vnodes block handlers breaker_threshold
     Fmt.epr "morpheus route: --eject-after/--rejoin-after must be >= 1@." ;
     exit 2
   end ;
-  if hedge_rate <= 0.0 || hedge_burst < 1.0 then begin
-    Fmt.epr "morpheus route: --hedge-rate must be > 0, --hedge-burst >= 1@." ;
-    exit 2
-  end ;
   (match limit_target_ms with
   | Some ms when ms <= 0.0 ->
     Fmt.epr "morpheus route: --limit-target-ms must be > 0@." ;
@@ -800,9 +796,6 @@ let route listen shards vnodes block handlers breaker_threshold
       suspect_after = 1;
       eject_after;
       rejoin_after;
-      hedge;
-      hedge_rate;
-      hedge_burst;
       limiter_target_ms = limit_target_ms
     }
 
@@ -862,20 +855,6 @@ let route_cmd =
            ~doc:"Consecutive probe successes before an ejected shard \
                  rejoins the ring.")
   in
-  let hedge =
-    Arg.(value & flag & info [ "hedge" ]
-           ~doc:"Hedge slow idempotent reads: after the tracked p95 latency, \
-                 send the same request to the next ring successor and take \
-                 the first answer (responses stay bitwise-identical).")
-  in
-  let hedge_rate =
-    Arg.(value & opt float 1.0 & info [ "hedge-rate" ]
-           ~doc:"Hedge tokens per second per shard (the retry budget).")
-  in
-  let hedge_burst =
-    Arg.(value & opt float 4.0 & info [ "hedge-burst" ]
-           ~doc:"Hedge token bucket capacity per shard.")
-  in
   let limit_target =
     Arg.(value & opt (some float) None & info [ "limit-target-ms" ]
            ~doc:"Latency target for the adaptive (AIMD) concurrency limit \
@@ -886,13 +865,12 @@ let route_cmd =
     (cmd_info "route"
        ~doc:"Route scoring requests over shard servers with consistent \
              hashing, active health probing with dynamic membership, \
-             per-shard circuit breakers, failover, hedged reads, \
+             per-shard circuit breakers, failover, \
              deadline-aware admission, and scatter-gather for id sets \
              that span shards.")
     Term.(const route $ listen $ shards $ vnodes $ block $ handlers
           $ breaker_threshold $ breaker_cooldown $ lockdep $ probe_interval
-          $ eject_after $ rejoin_after $ hedge $ hedge_rate $ hedge_burst
-          $ limit_target)
+          $ eject_after $ rejoin_after $ limit_target)
 
 (* ---- score: client for the scoring server ---- *)
 

@@ -6,8 +6,7 @@
        owner shard(s) via the ring
      forward: per-shard cached connection (kept alive across
        requests), circuit breaker per shard, failover to the next
-       distinct shard in ring order on transport failure; optionally a
-       hedged second attempt to the next successor after the p95 delay
+       distinct shard in ring order on transport failure
      scatter-gather: an id-set spanning shards is split per owner,
        the pieces are scored one after another — every piece after the
        first names the model version the first one resolved — and
@@ -41,9 +40,6 @@ type config = {
   suspect_after : int;
   eject_after : int;
   rejoin_after : int;
-  hedge : bool;
-  hedge_rate : float;
-  hedge_burst : float;
   limiter_target_ms : float option;
 }
 
@@ -60,9 +56,6 @@ let default_config ~listen ~shards =
     suspect_after = 1;
     eject_after = 3;
     rejoin_after = 2;
-    hedge = false;
-    hedge_rate = 1.0;
-    hedge_burst = 4.0;
     limiter_target_ms = None
   }
 
@@ -92,8 +85,6 @@ type member = {
   mutable ms_fails : int;  (* consecutive probe failures *)
   mutable ms_oks : int;  (* consecutive probe successes while out *)
   mutable ms_ewma : float;  (* probe latency ewma, seconds *)
-  mutable ms_tokens : float;  (* hedge token bucket *)
-  mutable ms_refilled : float;  (* last bucket refill instant *)
   mutable ms_probes : int;
   mutable ms_ejects : int;
 }
@@ -113,8 +104,6 @@ type t = {
   mutable subrequests : int;  (* per-shard pieces of scattered requests *)
   mutable failovers : int;  (* forwards rerouted after a shard failure *)
   mutable breaker_skips : int;  (* shards skipped on an open circuit *)
-  mutable hedges : int;  (* hedge requests fired *)
-  mutable hedge_wins : int;  (* hedges that answered first *)
   mutable expired : int;  (* requests shed at admission, deadline overdrawn *)
   per_shard_forwards : (string, int) Hashtbl.t;
   per_shard_errors : (string, int) Hashtbl.t;
@@ -167,71 +156,29 @@ let join_ring_locked t m =
     m.ms_in_ring <- true
   end
 
-(* Hedge token budget: [hedge_rate] tokens/s refill up to
-   [hedge_burst]; each fired hedge consumes one. Caps the extra load
-   hedging can put on a struggling fleet. *)
-let take_token t m =
-  Analysis.Sync.lock t.mem_m ;
-  let nw = now () in
-  m.ms_tokens <-
-    Float.min t.cfg.hedge_burst
-      (m.ms_tokens +. ((nw -. m.ms_refilled) *. t.cfg.hedge_rate)) ;
-  m.ms_refilled <- nw ;
-  let ok = m.ms_tokens >= 1.0 in
-  if ok then m.ms_tokens <- m.ms_tokens -. 1.0 ;
-  Analysis.Sync.unlock t.mem_m ;
-  ok
-
 (* ---- forwarding over cached connections ---- *)
 
-(* Each handler thread owns one of these: shard name → live client
-   connection, reused across requests until a transport error. *)
-type cache = (string, Client.t) Hashtbl.t
+(* Each handler thread owns one of these: shard name → a connection
+   slot kept alive across requests ({!Client.call_kept}). *)
+type cache = (string, Client.t option ref) Hashtbl.t
 
-let drop_conn cache shard =
+let slot cache shard =
   match Hashtbl.find_opt cache shard with
-  | Some c ->
-    Client.close c ;
-    Hashtbl.remove cache shard
-  | None -> ()
+  | Some s -> s
+  | None ->
+    let s = ref None in
+    Hashtbl.replace cache shard s ;
+    s
 
-(* One attempt against one shard. Reuses the cached connection when
-   present; a reused stream that fails at the transport level gets one
-   immediate fresh-connection retry (it may just have gone stale)
-   before the shard is declared failing. *)
-let attempt_shard t cache shard request =
-  let socket = Endpoint.to_string (endpoint_of t shard) in
-  let fresh () =
-    let c = Client.connect ~socket in
-    Metrics.record_conn_fresh t.metrics ;
-    Hashtbl.replace cache shard c ;
-    c
-  in
-  match
-    Fault.point "router.forward" ;
-    match Hashtbl.find_opt cache shard with
-    | Some c ->
-      Metrics.record_conn_reused t.metrics ;
-      (c, true)
-    | None -> (fresh (), false)
-  with
-  | exception Unix.Unix_error (e, _, _) ->
-    Error ("transport", Unix.error_message e)
+(* One attempt against one shard over the handler's kept-alive
+   connection; [timeout] bounds this call's reads and writes. *)
+let attempt_shard ?timeout t cache shard request =
+  match Fault.point "router.forward" with
   | exception Fault.Injected p -> Error ("transport", "injected fault at " ^ p)
-  | c, reused -> (
-    match Client.call c request with
-    | Error ("transport", _) as err -> (
-      drop_conn cache shard ;
-      if not reused then err
-      else
-        match fresh () with
-        | exception Unix.Unix_error (e, _, _) ->
-          Error ("transport", Unix.error_message e)
-        | c -> (
-          match Client.call c request with
-          | Error ("transport", _) as err -> drop_conn cache shard ; err
-          | r -> r))
-    | r -> r)
+  | () ->
+    Client.call_kept ~metrics:t.metrics ?timeout
+      ~socket:(Endpoint.to_string (endpoint_of t shard))
+      (slot cache shard) request
 
 (* Forward a request along a shard order (owner first, then the ring's
    failover successors). A shard answering — even with a protocol
@@ -265,195 +212,9 @@ let forward_ordered t cache order request =
   in
   go ~first:true order
 
-(* ---- hedged forwarding ---- *)
-
-let is_transport = function Error ("transport", _) -> true | _ -> false
-
-(* Fire the hedge once the primary has been out longer than the
-   tracked p95 (floored at 1ms so a cold histogram doesn't hedge
-   everything). *)
-let hedge_delay t = Float.max 1e-3 (Metrics.quantile t.metrics 0.95)
-
-(* Hedged forward for idempotent routed reads: the primary attempt
-   runs on its own thread over a private connection; if it is still
-   out after the hedge delay and the owner's token budget allows, a
-   second identical request goes to the next ring successor and the
-   first answer wins. Responses stay bitwise-identical to a single
-   server because both shards compute identical predictions.
-
-   A side's connection belongs to its own thread until that side has
-   answered: closing it from another thread while a read is blocked on
-   it would free the descriptor number for reuse under that read. So
-   cancelling the loser only marks it, and the connection is closed by
-   whichever comes second — the loser answering, or the cancel. A
-   loser that has not connected yet never sends; without that, its
-   connection would stay open and idle and pin one of the shard's
-   handler threads for good. *)
-let forward_hedged t cache order request =
-  let hedgeable =
-    t.cfg.hedge
-    &&
-    match order with
-    | owner :: next :: _ -> next <> owner && Breaker.allow (breaker t owner)
-    | _ -> false
-  in
-  if not hedgeable then forward_ordered t cache order request
-  else begin
-    let owner, next, rest2 =
-      match order with
-      | owner :: next :: rest2 -> (owner, next, rest2)
-      | _ -> assert false
-    in
-    let hm = Analysis.Sync.create ~name:"cluster.router.hedge" () in
-    let results : (_, (Json.t, string * string) result) Hashtbl.t =
-      Hashtbl.create 2
-    in
-    let conns = Hashtbl.create 2 in
-    let cancelled = Hashtbl.create 2 in
-    (* under [hm]: remove a side's connection for the caller to close
-       or adopt *)
-    let take side =
-      let c = Hashtbl.find_opt conns side in
-      Hashtbl.remove conns side ;
-      c
-    in
-    let cancel side =
-      Analysis.Sync.lock hm ;
-      Hashtbl.replace cancelled side () ;
-      let c = if Hashtbl.mem results side then take side else None in
-      Analysis.Sync.unlock hm ;
-      Option.iter Client.close c
-    in
-    let attempt side shard =
-      match Client.connect ~socket:(Endpoint.to_string (endpoint_of t shard)) with
-      | exception Unix.Unix_error (e, _, _) ->
-        Some (Error ("transport", Unix.error_message e))
-      | exception Fault.Injected p -> Some (Error ("transport", "injected fault at " ^ p))
-      | c ->
-        Analysis.Sync.lock hm ;
-        let live = not (Hashtbl.mem cancelled side) in
-        if live then Hashtbl.replace conns side c ;
-        Analysis.Sync.unlock hm ;
-        if live then begin
-          Metrics.record_conn_fresh t.metrics ;
-          Some (Client.call c request)
-        end
-        else begin
-          Client.close c ;
-          None
-        end
-    in
-    let spawn side shard =
-      ignore
-        (Thread.create
-           (fun () ->
-             match attempt side shard with
-             | None -> () (* the race was decided before this side connected *)
-             | Some outcome ->
-               if is_transport outcome then begin
-                 Breaker.failure (breaker t shard) ;
-                 note_shard_error t shard
-               end
-               else begin
-                 Breaker.success (breaker t shard) ;
-                 note_shard_forward t shard
-               end ;
-               Analysis.Sync.lock hm ;
-               Hashtbl.replace results side outcome ;
-               (* a failed stream may be desynchronized: never reuse it *)
-               let c =
-                 if Hashtbl.mem cancelled side || is_transport outcome then take side
-                 else None
-               in
-               Analysis.Sync.unlock hm ;
-               Option.iter Client.close c)
-           ())
-    in
-    let get side =
-      Analysis.Sync.lock hm ;
-      let r = Hashtbl.find_opt results side in
-      Analysis.Sync.unlock hm ;
-      r
-    in
-    (* a completed side's connection is private and healthy: adopt it
-       into the handler cache for reuse (unless one is already there) *)
-    let adopt side shard =
-      Analysis.Sync.lock hm ;
-      let c = take side in
-      Analysis.Sync.unlock hm ;
-      match c with
-      | Some c when not (Hashtbl.mem cache shard) -> Hashtbl.replace cache shard c
-      | Some c -> Client.close c
-      | None -> ()
-    in
-    spawn `Primary owner ;
-    let fire_at = now () +. hedge_delay t in
-    let rec await_primary () =
-      match get `Primary with
-      | Some r -> Some r
-      | None ->
-        if now () >= fire_at then None
-        else begin
-          Thread.delay 5e-4 ;
-          await_primary ()
-        end
-    in
-    let finish_primary r =
-      if is_transport r then begin
-        (* normal failover semantics for the rest of the order *)
-        count t (fun () -> t.failovers <- t.failovers + 1) ;
-        forward_ordered t cache (next :: rest2) request
-      end
-      else begin
-        adopt `Primary owner ;
-        r
-      end
-    in
-    match await_primary () with
-    | Some r -> finish_primary r
-    | None ->
-      if not (take_token t (member t owner)) then begin
-        (* budget exhausted: wait the primary out like an unhedged call *)
-        let rec wait_out () =
-          match get `Primary with
-          | Some r -> finish_primary r
-          | None ->
-            Thread.delay 5e-4 ;
-            wait_out ()
-        in
-        wait_out ()
-      end
-      else begin
-        count t (fun () -> t.hedges <- t.hedges + 1) ;
-        spawn `Hedge next ;
-        let rec race () =
-          let p = get `Primary and h = get `Hedge in
-          match (p, h) with
-          | Some r, _ when not (is_transport r) ->
-            cancel `Hedge ;
-            adopt `Primary owner ;
-            r
-          | _, Some r when not (is_transport r) ->
-            count t (fun () -> t.hedge_wins <- t.hedge_wins + 1) ;
-            cancel `Primary ;
-            adopt `Hedge next ;
-            r
-          | Some _, Some _ ->
-            (* both attempts failed at the transport level: fall back
-               to the remaining successors *)
-            count t (fun () -> t.failovers <- t.failovers + 1) ;
-            forward_ordered t cache rest2 request
-          | _ ->
-            Thread.delay 5e-4 ;
-            race ()
-        in
-        race ()
-      end
-  end
-
 let forward_by_key t cache key request =
   count t (fun () -> t.forwarded <- t.forwarded + 1) ;
-  forward_hedged t cache (Ring.successors (ring_now t) key) request
+  forward_ordered t cache (Ring.successors (ring_now t) key) request
 
 let render = function
   | Ok j -> j
@@ -485,7 +246,7 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
       | Some positions -> positions := i :: !positions
       | None -> groups := !groups @ [ (owner, ref [ i ]) ])
     owners ;
-  let groups = List.map (fun (o, ps) -> (o, List.rev !ps)) !groups in
+  let groups = List.map (fun (o, ps) -> (o, Array.of_list (List.rev !ps))) !groups in
   match groups with
   | [] | [ _ ] ->
     (* one owner (or an empty id set): forward the request whole *)
@@ -508,14 +269,14 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
     List.iter
       (fun (owner, positions) ->
         if !failed = None then begin
-          let sub_ids = Array.of_list (List.map (fun i -> ids.(i)) positions) in
+          let sub_ids = Array.map (fun i -> ids.(i)) positions in
           let order =
             owner
             :: List.filter (( <> ) owner)
                  (Ring.successors ring (score_key ~model ~dataset))
           in
           match
-            forward_hedged t cache order
+            forward_ordered t cache order
               (Protocol.Score
                  { model = Option.value !model_id ~default:model;
                    target = Protocol.Dataset { dataset; ids = sub_ids };
@@ -528,7 +289,7 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
               model_id := Option.bind (Json.member "model" j) Json.to_str ;
             match Option.bind (Json.member "predictions" j) Json.float_list with
             | Some ps when List.length ps = Array.length sub_ids ->
-              List.iteri (fun k p -> preds.(List.nth positions k) <- p) ps
+              List.iteri (fun k p -> preds.(positions.(k)) <- p) ps
             | _ ->
               failed := Some ("bad_response", "shard response missing predictions"))
         end)
@@ -652,8 +413,11 @@ let prober t =
 
 (* ---- health / stats aggregation ---- *)
 
+(* Bounded like a probe: a shard that accepts but never answers reads
+   as "down" instead of pinning this handler (and the health or stats
+   request that asked) forever. *)
 let shard_health t cache shard =
-  match attempt_shard t cache shard Protocol.Health with
+  match attempt_shard ~timeout:t.cfg.probe_timeout t cache shard Protocol.Health with
   | Ok j -> (
     match Option.bind (Json.member "status" j) Json.to_str with
     | Some s -> s
@@ -694,7 +458,6 @@ let membership_payload t =
               ("probe_oks", Json.Num (float_of_int m.ms_oks));
               ("probe_latency_ewma_ms", Json.Num (m.ms_ewma *. 1e3));
               ("suspicion", Json.Num (suspicion t m));
-              ("hedge_tokens", Json.Num m.ms_tokens);
               ("probes", Json.Num (float_of_int m.ms_probes));
               ("ejects", Json.Num (float_of_int m.ms_ejects))
             ] ))
@@ -715,8 +478,6 @@ let cluster_json ?health t =
         subrequests,
         failovers,
         breaker_skips,
-        hedges,
-        hedge_wins,
         expired,
         per_shard ) =
     count t (fun () ->
@@ -725,8 +486,6 @@ let cluster_json ?health t =
           t.subrequests,
           t.failovers,
           t.breaker_skips,
-          t.hedges,
-          t.hedge_wins,
           t.expired,
           List.map
             (fun (name, _) ->
@@ -791,8 +550,6 @@ let cluster_json ?health t =
       ("subrequests", Json.Num (float_of_int subrequests));
       ("failovers", Json.Num (float_of_int failovers));
       ("breaker_skips", Json.Num (float_of_int breaker_skips));
-      ("hedges", Json.Num (float_of_int hedges));
-      ("hedge_wins", Json.Num (float_of_int hedge_wins));
       ("expired", Json.Num (float_of_int expired));
       ( "limiter",
         match t.limiter with
@@ -940,7 +697,7 @@ let handler t () =
   { Listener.handle = handle_request t cache;
     close =
       (fun () ->
-        Hashtbl.iter (fun _ c -> Client.close c) cache ;
+        Hashtbl.iter (fun _ s -> Client.drop s) cache ;
         Hashtbl.reset cache)
   }
 
@@ -977,8 +734,6 @@ let start cfg =
                 ms_fails = 0;
                 ms_oks = 0;
                 ms_ewma = 0.0;
-                ms_tokens = cfg.hedge_burst;
-                ms_refilled = started;
                 ms_probes = 0;
                 ms_ejects = 0
               } ))
@@ -996,8 +751,6 @@ let start cfg =
       subrequests = 0;
       failovers = 0;
       breaker_skips = 0;
-      hedges = 0;
-      hedge_wins = 0;
       expired = 0;
       per_shard_forwards = Hashtbl.create 8;
       per_shard_errors = Hashtbl.create 8;
@@ -1023,11 +776,10 @@ let cluster_summary t =
   count t (fun () ->
       Printf.sprintf
         "cluster       : %d shards, %d forwarded (%d scattered into %d \
-         subrequests), %d failovers, %d breaker skips, %d hedges (%d won), \
-         %d expired\n"
+         subrequests), %d failovers, %d breaker skips, %d expired\n"
         (List.length t.cfg.shards)
         t.forwarded t.scattered t.subrequests t.failovers t.breaker_skips
-        t.hedges t.hedge_wins t.expired)
+        t.expired)
 
 let run cfg =
   let t = start cfg in

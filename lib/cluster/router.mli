@@ -37,9 +37,7 @@
     machine. Requests carrying a deadline are admission-checked: the
     budget is decremented by observed queue time before forwarding and
     overdrawn requests are shed with an [expired] error, never
-    answered silently late. Optional hedging fires a second identical
-    read at the next ring successor when the first is slower than the
-    tracked p95, under a per-shard token budget.
+    answered silently late.
 
     The router holds no model or dataset state: [ping], [stats],
     [membership], [drain], [undrain], and [shutdown] answer locally,
@@ -62,10 +60,12 @@ type config = {
           disables the prober (membership then only changes by
           operator [drain]/[undrain]) *)
   probe_timeout : float;
-      (** seconds a single probe may take end to end
-          ([SO_RCVTIMEO]/[SO_SNDTIMEO] on the probe connection): a
-          shard that accepts but never answers counts as a failed
-          probe instead of wedging the prober forever *)
+      (** seconds a probe's connect, and each of its reads and
+          writes, may take: a shard that accepts but never answers,
+          or whose accept backlog is full, counts as a failed probe
+          instead of wedging the prober forever. The same bound
+          applies to the per-shard health queries of the [health] and
+          [stats] ops, which report such a shard ["down"]. *)
   suspect_after : int;
       (** consecutive probe failures before Active → Suspect *)
   eject_after : int;
@@ -74,9 +74,6 @@ type config = {
   rejoin_after : int;
       (** consecutive probe successes before an ejected or draining
           shard rejoins the ring *)
-  hedge : bool;  (** hedge slow idempotent routed reads *)
-  hedge_rate : float;  (** hedge tokens per second per shard *)
-  hedge_burst : float;  (** hedge token bucket capacity per shard *)
   limiter_target_ms : float option;
       (** latency target for the AIMD concurrency {!Limiter} over
           routed score requests; [None] disables admission limiting *)
@@ -86,7 +83,7 @@ val default_config : listen:string -> shards:(string * string) list -> config
 (** vnodes {!Ring.default_vnodes}, block 64, handlers 4, breaker
     threshold 3 / cooldown 1s, probe every 250ms with a 1s probe
     timeout, suspect after 1 / eject after 3 / rejoin after 2 probes,
-    hedging off (rate 1/s, burst 4 when on), no concurrency limiter. *)
+    no concurrency limiter. *)
 
 val routed_op_names : string list
 (** The protocol ops the router forwards to shards (the rest are
@@ -115,9 +112,10 @@ val metrics : t -> Morpheus_serve.Metrics.t
 val stats : t -> Morpheus_serve.Json.t
 (** The router's [stats] payload: metrics snapshot plus the [cluster]
     section (per-shard breaker and membership state, ring ownership
-    histogram, forwarded / scattered / subrequest / failover / hedge /
-    expired counters, limiter snapshot). The [stats] protocol op
-    additionally live-probes each shard's health. *)
+    histogram, forwarded / scattered / subrequest / failover / expired
+    counters, limiter snapshot). The [stats] protocol op additionally
+    live-probes each shard's health, each query bounded by
+    [probe_timeout]. *)
 
 val run : config -> unit
 (** [start], install SIGINT/SIGTERM stop handlers, block until

@@ -2,9 +2,11 @@ type t = { fd : Unix.file_descr; lines : Listener.lines }
 
 (* Responses are read without a size cap: a score_where answer over a
    large segment legitimately exceeds the listener's request limit. *)
-let connect ~socket =
-  let fd = Endpoint.connect (Endpoint.of_string socket) in
+let open_conn ?timeout socket =
+  let fd = Endpoint.connect ?timeout (Endpoint.of_string socket) in
   { fd; lines = Listener.lines (Endpoint.read fd) }
+
+let connect ~socket = open_conn socket
 
 (* Bound every read and write on the connection so a saturated or
    wedged peer surfaces as a transport error instead of blocking the
@@ -89,75 +91,65 @@ let default_retry =
     retry_codes = [ "transport"; "overloaded"; "circuit_open"; "internal" ]
   }
 
-(* One attempt on one fresh connection. *)
-let attempt_once ~socket request =
-  match with_client ~socket (fun t -> call t request) with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-    Error ("transport", Unix.error_message e)
-  | exception Fault.Injected p -> Error ("transport", "injected fault at " ^ p)
+let drop slot =
+  Option.iter close !slot ;
+  slot := None
+
+(* A server that answered (even with an error code) left the stream at
+   a frame boundary, so the connection stays in the slot. A transport
+   failure may have left it mid-frame, so it is closed; if it had been
+   reused it may just have gone stale between calls (server restart,
+   idle close), so the request goes once more on a fresh connection. *)
+let call_kept ?metrics ?timeout ~socket slot request =
+  let note record = Option.iter record metrics in
+  let call_on c =
+    Option.iter (set_timeouts c) timeout ;
+    match call c request with
+    | Error ("transport", _) as err ->
+      drop slot ;
+      err
+    | r ->
+      (* the bound is for this call only: lift it before the
+         connection is reused *)
+      if timeout <> None then set_timeouts c 0.0 ;
+      r
+  in
+  let on_fresh () =
+    match open_conn ?timeout socket with
+    | exception Unix.Unix_error (e, _, _) ->
+      Error ("transport", Unix.error_message e)
+    | c ->
+      note Metrics.record_conn_fresh ;
+      slot := Some c ;
+      call_on c
+  in
+  match !slot with
+  | None -> on_fresh ()
+  | Some c -> (
+    note Metrics.record_conn_reused ;
+    match call_on c with
+    | Error ("transport", _) -> on_fresh ()
+    | r -> r)
+
+(* One request on a connection of its own, closed afterwards. *)
+let call_once ?timeout ~socket request =
+  let slot = ref None in
+  Fun.protect ~finally:(fun () -> drop slot) (fun () ->
+      call_kept ?timeout ~socket slot request)
 
 let call_retry ?(policy = default_retry) ?metrics ?rng ~socket request =
   if policy.attempts < 1 then invalid_arg "Client.call_retry: attempts < 1" ;
   let rng = match rng with Some r -> r | None -> La.Rng.of_int 0x5eed in
   let t0 = Clock.wall () in
-  (* The connection is kept alive across attempts: a server that
-     answered (even with an error code) left the stream at a frame
-     boundary, so the next attempt can reuse it. Only a transport
-     failure — which may have desynchronized the stream (half a frame
-     written) — forces a reconnect. *)
+  (* one connection kept alive across attempts; the stale-reuse retry
+     inside [call_kept] is not charged to the policy *)
   let conn = ref None in
-  let drop_conn () =
-    match !conn with
-    | Some c ->
-      close c ;
-      conn := None
-    | None -> ()
-  in
-  let attempt () =
-    let reused = !conn <> None in
-    match
-      let c =
-        match !conn with
-        | Some c ->
-          (match metrics with
-          | Some m -> Metrics.record_conn_reused m
-          | None -> ()) ;
-          c
-        | None ->
-          let c = connect ~socket in
-          (match metrics with
-          | Some m -> Metrics.record_conn_fresh m
-          | None -> ()) ;
-          conn := Some c ;
-          c
-      in
-      call c request
-    with
-    | Error ("transport", _) as err ->
-      drop_conn () ;
-      (* a reused stream may have gone stale between attempts (server
-         restart, idle timeout): retry immediately on a fresh
-         connection before charging the policy an attempt *)
-      if reused then begin
-        (match metrics with Some m -> Metrics.record_conn_fresh m | None -> ()) ;
-        attempt_once ~socket request
-      end
-      else err
-    | r -> r
-    | exception Unix.Unix_error (e, _, _) ->
-      drop_conn () ;
-      Error ("transport", Unix.error_message e)
-    | exception Fault.Injected p ->
-      drop_conn () ;
-      Error ("transport", "injected fault at " ^ p)
-  in
   let finish r =
-    drop_conn () ;
+    drop conn ;
     r
   in
   let rec go k =
-    match attempt () with
+    match call_kept ?metrics ~socket conn request with
     | Ok _ as ok -> finish ok
     | Error (code, _) as err ->
       let elapsed = Clock.wall () -. t0 in
@@ -205,15 +197,5 @@ let score_where_retry ?policy ?metrics ?rng ~socket ~model ~dataset
             deadline_ms
           }))
 
-let health ~socket = attempt_once ~socket Protocol.Health
-
-let health_timeout ~timeout ~socket =
-  match
-    with_client ~socket (fun t ->
-        if timeout > 0.0 then set_timeouts t timeout ;
-        call t Protocol.Health)
-  with
-  | r -> r
-  | exception Unix.Unix_error (e, _, _) ->
-    Error ("transport", Unix.error_message e)
-  | exception Fault.Injected p -> Error ("transport", "injected fault at " ^ p)
+let health ~socket = call_once ~socket Protocol.Health
+let health_timeout ~timeout ~socket = call_once ~timeout ~socket Protocol.Health

@@ -48,6 +48,31 @@ val score_where :
 val with_client : socket:string -> (t -> 'a) -> 'a
 (** Connect, run, close (also on exception). *)
 
+val call_kept :
+  ?metrics:Metrics.t ->
+  ?timeout:float ->
+  socket:string ->
+  t option ref ->
+  Protocol.request ->
+  (Json.t, string * string) result
+(** [call_kept ~socket slot request]: one request over a kept-alive
+    connection slot. The slot's connection is reused when it holds one
+    ({!Metrics.record_conn_reused}); otherwise a fresh connection is
+    made and stored ({!Metrics.record_conn_fresh}). A transport error
+    closes and empties the slot, since the stream may be mid-frame; if
+    the failed connection was a reused one it may just have gone stale
+    (server restart, idle close), so the request goes once more on a
+    fresh connection, which the slot keeps. A failed connect is a
+    ["transport"] error too. With [timeout], a fresh connect and every
+    read and write of this call are each bounded by that many seconds
+    ({!Endpoint.connect}, [SO_RCVTIMEO]/[SO_SNDTIMEO]), and the bound
+    is lifted again before the connection stays in the slot; a
+    timed-out call is a ["transport"] error, so its connection is
+    dropped. *)
+
+val drop : t option ref -> unit
+(** Close and empty a connection slot (a no-op when empty). *)
+
 (** {1 Retrying calls}
 
     Score requests are idempotent (pure functions of model + rows/ids),
@@ -78,14 +103,13 @@ val call_retry :
   socket:string ->
   Protocol.request ->
   (Json.t, string * string) result
-(** One logical request with retries. The connection is kept alive
-    across attempts — a server that answered with a retryable error
-    left the stream at a frame boundary, so the next attempt reuses it
-    ({!Metrics.record_conn_reused}); only a transport failure (which
-    may have desynchronized the stream) forces a fresh connect
-    ({!Metrics.record_conn_fresh}), and a reused stream that turns out
-    stale gets one immediate fresh-connection retry before the policy
-    is charged. [metrics] counts each retry ({!Metrics.record_retry});
+(** One logical request with retries, every attempt a {!call_kept} on
+    one slot: a server that answered with a retryable error left the
+    stream at a frame boundary, so the next attempt reuses the
+    connection; only a transport failure forces a fresh connect, and
+    the stale-reuse retry inside {!call_kept} is not charged to the
+    policy. The slot is closed when the call returns. [metrics] counts
+    connections and each retry ({!Metrics.record_retry});
     [rng] drives the jitter deterministically (defaults to a fixed
     seed). Returns the last error when the policy is exhausted. *)
 
@@ -127,9 +151,9 @@ val health : socket:string -> (Json.t, string * string) result
 
 val health_timeout :
   timeout:float -> socket:string -> (Json.t, string * string) result
-(** {!health} with every read and write on the probe connection
-    bounded by [timeout] seconds ([SO_RCVTIMEO]/[SO_SNDTIMEO]): a peer
-    that accepts but never answers surfaces as a ["transport"] error
-    instead of wedging the caller — what an active prober needs, since
-    one unresponsive shard must not freeze membership for the rest of
-    the fleet. *)
+(** {!health} with the connect and every read and write on the probe
+    connection bounded by [timeout] seconds: a peer that accepts but
+    never answers, or whose accept backlog is full, surfaces as a
+    ["transport"] error instead of wedging the caller — what an active
+    prober needs, since one unresponsive shard must not freeze
+    membership for the rest of the fleet. *)

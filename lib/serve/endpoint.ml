@@ -129,10 +129,15 @@ let listen ?(backlog = 64) e =
      raise exn) ;
   fd
 
-let connect e =
+let connect ?timeout e =
   let fd = Unix.socket ~cloexec:true (domain e) SOCK_STREAM 0 in
   (try
+     (* Linux applies SO_SNDTIMEO to a blocking connect: when the
+        peer's accept backlog is full, the connect fails at the bound
+        instead of after the SYN retries (about two minutes) *)
+     Option.iter (Unix.setsockopt_float fd SO_SNDTIMEO) timeout ;
      Unix.connect fd (sockaddr e) ;
+     if timeout <> None then Unix.setsockopt_float fd SO_SNDTIMEO 0.0 ;
      match e with
      | Tcp _ -> Unix.setsockopt fd TCP_NODELAY true
      | Unix_path _ -> ()

@@ -34,9 +34,13 @@ val listen : ?backlog:int -> t -> Unix.file_descr
     socket file first; TCP sockets set [SO_REUSEADDR]. Raises
     [Unix.Unix_error] if the address cannot be bound. *)
 
-val connect : t -> Unix.file_descr
+val connect : ?timeout:float -> t -> Unix.file_descr
 (** A connected socket (TCP sets [TCP_NODELAY]: frames are small and
-    latency-bound). Raises [Unix.Unix_error] on refusal. *)
+    latency-bound). With [timeout], the connect itself fails after that
+    many seconds ([SO_SNDTIMEO], which Linux applies to connect) rather
+    than waiting out the SYN retries of a peer whose accept backlog is
+    full; the bound is lifted once connected. Raises [Unix.Unix_error]
+    on refusal or timeout. *)
 
 val bound_endpoint : t -> Unix.file_descr -> t
 (** The endpoint actually bound, read back from the kernel — resolves

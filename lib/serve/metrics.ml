@@ -157,8 +157,6 @@ let requests t = locked t (fun () -> t.all.count)
 let errors t =
   locked t (fun () -> Hashtbl.fold (fun _ n acc -> acc + n) t.errors 0)
 
-let quantile t q = locked t (fun () -> hist_quantile t.all q)
-
 let latency_json h =
   Json.Obj
     [ ("count", Json.Num (float_of_int h.count));

@@ -59,11 +59,6 @@ val requests : t -> int
 
 val errors : t -> int
 
-val quantile : t -> float -> float
-(** [quantile t q] (q in [0,1]) of all recorded latencies, in seconds,
-    read from the histogram (bucket upper edge — ≤ 12% overestimate by
-    construction). 0 when empty. *)
-
 val snapshot : t -> Json.t
 (** The stats payload: per-op counts, error counts, latency summary
     (count/mean/p50/p95/p99/max), batch-size distribution, cache hit

@@ -4,7 +4,9 @@
    AIMD concurrency limiter, deadline admission end to end (the shard
    observes a strictly smaller budget than the client sent), the
    drain/undrain lifecycle on both the server and the router, active
-   health probing with auto-eject and rejoin, and hedged requests.
+   health probing with auto-eject and rejoin, linear-time scatter
+   reassembly, bounded health fan-out over a wedged shard, and the
+   stale-connection retry.
    When MORPHEUS_BIN points at the CLI binary, a transport-fault storm
    over real shard processes (SIGKILL mid-storm, restart, rejoin,
    drain with zero failures) and CLI usage-error checks ride along;
@@ -485,11 +487,14 @@ type fake = {
 
 (* A minimal shard: answers health immediately, score after
    [score_delay], recording each forwarded deadline_ms and model name;
-   [resolve] maps the requested model to the id it answers with. Good
-   enough to stand on the far side of the router — the real server's
-   behavior is covered by @clustercheck. *)
+   [resolve] maps the requested model to the id it answers with. With
+   [echo] each prediction is its row id, so a reassembled scatter can
+   be checked position by position; with [one_shot] the connection is
+   closed after every reply. Good enough to stand on the far side of
+   the router — the real server's behavior is covered by
+   @clustercheck. *)
 let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok")
-    ?(resolve = fun _ -> "m@v1") () =
+    ?(resolve = fun _ -> "m@v1") ?(echo = false) ?(one_shot = false) () =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true ;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port)) ;
@@ -539,18 +544,17 @@ let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok")
               (Option.bind (Json.member "deadline_ms" j) Json.to_float) ;
             Mutex.unlock f.fk_q ;
             if score_delay > 0.0 then Thread.delay score_delay ;
-            let n =
-              match Option.bind (Json.member "ids" j) Json.to_list with
-              | Some l -> List.length l
-              | None -> (
-                match Option.bind (Json.member "rows" j) Json.to_list with
-                | Some l -> List.length l
-                | None -> 1)
+            let listed k = Option.bind (Json.member k j) Json.to_list in
+            let predictions =
+              match (listed "ids", listed "rows") with
+              | Some ids, _ when echo -> ids
+              | Some l, _ | None, Some l -> List.map (fun _ -> Json.Num 0.125) l
+              | None, None -> [ Json.Num 0.125 ]
             in
             Json.Obj
               [ ("ok", Json.Bool true);
                 ("model", Json.Str (resolve model));
-                ("predictions", Json.Arr (List.init n (fun _ -> Json.Num 0.125)))
+                ("predictions", Json.Arr predictions)
               ]
           | _ ->
             Json.Obj
@@ -560,7 +564,7 @@ let start_fake ?(port = 0) ?(score_delay = 0.0) ?(status = "ok")
               ]
         in
         send_raw fd (Json.to_string reply ^ "\n") ;
-        serve ()
+        if not one_shot then serve ()
       | None -> (
         match Unix.read fd chunk 0 (Bytes.length chunk) with
         | 0 -> ()
@@ -606,8 +610,8 @@ let fake_log f q =
 let fake_deadlines f = fake_log f f.fk_deadlines
 let fake_models f = fake_log f f.fk_models
 
-let router_over ?(probe_interval = 0.05) ?(hedge = false) ?limiter_target_ms
-    ?(handlers = 2) shards =
+let router_over ?(probe_interval = 0.05) ?limiter_target_ms ?(handlers = 2)
+    shards =
   Router.start
     { (Router.default_config ~listen:"127.0.0.1:0" ~shards) with
       Router.handlers;
@@ -618,9 +622,6 @@ let router_over ?(probe_interval = 0.05) ?(hedge = false) ?limiter_target_ms
       probe_timeout = 0.5;
       eject_after = 2;
       rejoin_after = 2;
-      hedge;
-      hedge_rate = 50.0;
-      hedge_burst = 4.0;
       limiter_target_ms
     }
 
@@ -877,43 +878,128 @@ let test_server_drain () =
   in
   await ~timeout:5.0 ~what:"drained server to stop" gone
 
-(* ---- hedging: a slow owner is raced, responses stay identical ---- *)
+(* ---- scatter reassembly is linear in the id count ---- *)
 
-let test_hedged_requests () =
-  (* find which member owns the routing key "m" so the slow shard can
-     be placed there deterministically *)
-  let owner = Ring.lookup (Ring.create [ "s0"; "s1" ]) "m" in
-  let slow = start_fake ~score_delay:0.5 () in
-  let fast = start_fake () in
-  Fun.protect ~finally:(fun () -> stop_fake slow ; stop_fake fast)
+let test_scatter_linear () =
+  let a = start_fake ~echo:true () and b = start_fake ~echo:true () in
+  Fun.protect ~finally:(fun () -> stop_fake a ; stop_fake b)
   @@ fun () ->
-  let shards =
-    if owner = "s0" then [ ("s0", slow.fk_addr); ("s1", fast.fk_addr) ]
-    else [ ("s0", fast.fk_addr); ("s1", slow.fk_addr) ]
-  in
-  let router = router_over ~hedge:true shards in
+  let router = router_over ~probe_interval:0.0 [ ("s0", a.fk_addr); ("s1", b.fk_addr) ] in
   Fun.protect ~finally:(fun () -> Router.stop router)
   @@ fun () ->
   let addr = Endpoint.to_string (Router.endpoint router) in
+  (* ~590 KB of frame; blocks of 4 alternate between the two owners,
+     so each piece holds about half the ids *)
+  let ids = Array.init 100_000 Fun.id in
   let t0 = Unix.gettimeofday () in
-  (match wire addr (score_rows_req ()) with
-  | Ok j ->
-    (* the hedge's answer is the same bytes the slow owner would give *)
-    Alcotest.(check (option (list (float 1e-12)))) "hedged predictions"
-      (Some [ 0.125 ])
-      (Option.bind (Json.member "predictions" j) Json.float_list)
-  | Error (c, m) -> Alcotest.failf "hedged score: [%s] %s" c m) ;
+  (match
+     Client.with_client ~socket:addr (fun c ->
+         Client.score_ids c ~model:"m" ~dataset:"/ds" ids)
+   with
+  | Ok preds ->
+    if preds <> Array.map float_of_int ids then
+      Alcotest.fail "predictions are not the ids in request order"
+  | Error (c, m) -> Alcotest.failf "scattered score: [%s] %s" c m) ;
   let dt = Unix.gettimeofday () -. t0 in
-  if dt > 0.4 then
-    Alcotest.failf "hedge did not win: %.0fms (owner sleeps 500ms)" (dt *. 1e3) ;
-  let cluster =
-    Option.value ~default:Json.Null (Json.member "cluster" (Router.stats router))
+  if dt > 2.0 then Alcotest.failf "100k-id scatter took %.2fs" dt
+
+(* ---- health and stats stay bounded over a wedged shard ---- *)
+
+(* One request whose reads and writes are bounded by [timeout]: a
+   router that never answers fails the test instead of hanging it. *)
+let wire_within ~timeout addr req =
+  let slot = ref None in
+  Fun.protect ~finally:(fun () -> Client.drop slot)
+  @@ fun () -> Client.call_kept ~timeout ~socket:addr slot req
+
+(* A loopback listener that never accepts: the kernel completes up to
+   [backlog] + 1 handshakes into its queue, and nothing ever answers. *)
+let never_accepting ~backlog =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0)) ;
+  Unix.listen fd backlog ;
+  match Unix.getsockname fd with
+  | Unix.ADDR_INET (_, p) -> (fd, p)
+  | _ -> Alcotest.fail "wedged listener: no port"
+
+(* [f router_addr] with a router over the wedged listener (as s0) and a
+   healthy fake (s1). Closing the listener first resets the
+   connections queued on it, so a router thread still waiting on one
+   cannot hold up the stop. *)
+let with_wedged_router ~backlog ~probe_interval f =
+  let wedged, port = never_accepting ~backlog in
+  let good = start_fake () in
+  Fun.protect ~finally:(fun () -> stop_fake good)
+  @@ fun () ->
+  let router =
+    router_over ~probe_interval
+      [ ("s0", Printf.sprintf "127.0.0.1:%d" port); ("s1", good.fk_addr) ]
   in
-  let num k =
-    Option.value ~default:0 (Option.bind (Json.member k cluster) Json.to_int)
-  in
-  if num "hedges" < 1 then Alcotest.fail "no hedge was fired" ;
-  if num "hedge_wins" < 1 then Alcotest.fail "no hedge win was counted"
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close wedged with Unix.Unix_error _ -> ()) ;
+      Router.stop router)
+  @@ fun () -> f port (Endpoint.to_string (Router.endpoint router))
+
+let check_degraded addr =
+  let str j k = Option.bind (Json.member k j) Json.to_str in
+  (match wire_within ~timeout:3.0 addr Protocol.Health with
+  | Ok j ->
+    Alcotest.(check (option string)) "router health" (Some "degraded") (str j "status") ;
+    let shards = Option.value ~default:Json.Null (Json.member "shards" j) in
+    Alcotest.(check (option string)) "wedged shard" (Some "down") (str shards "s0") ;
+    Alcotest.(check (option string)) "healthy shard" (Some "ok") (str shards "s1")
+  | Error (c, m) -> Alcotest.failf "health over a wedged shard: [%s] %s" c m) ;
+  match wire_within ~timeout:3.0 addr Protocol.Stats with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.failf "stats over a wedged shard: [%s] %s" c m
+
+(* The shard's queue has room: connects succeed, reads time out. *)
+let test_health_wedged_shard () =
+  with_wedged_router ~backlog:16 ~probe_interval:0.0 (fun _ addr ->
+      check_degraded addr)
+
+(* The shard's queue is full: connects wait in SYN-SENT until their
+   bound, so neither the prober nor health may stall on them. *)
+let test_wedged_full_backlog () =
+  with_wedged_router ~backlog:0 ~probe_interval:0.05 (fun port addr ->
+      let fill () =
+        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.set_nonblock fd ;
+        (try Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port))
+         with Unix.Unix_error (Unix.EINPROGRESS, _, _) -> ()) ;
+        fd
+      in
+      let fillers = List.init 2 (fun _ -> fill ()) in
+      Fun.protect ~finally:(fun () -> List.iter Unix.close fillers)
+      @@ fun () ->
+      await ~what:"the wedged shard ejected" (fun () ->
+          member_state (membership_of addr) "s0" = "ejected") ;
+      let probes () =
+        Option.bind (member_field (membership_of addr) "s1" "probes") Json.to_int
+      in
+      let seen = probes () in
+      await ~what:"the healthy shard still probed" (fun () -> probes () > seen) ;
+      check_degraded addr)
+
+(* ---- a stale kept-alive connection gets one fresh retry ---- *)
+
+let test_stale_retry () =
+  let shard = start_fake ~one_shot:true () in
+  Fun.protect ~finally:(fun () -> stop_fake shard)
+  @@ fun () ->
+  let metrics = Metrics.create () in
+  let slot = ref None in
+  Fun.protect ~finally:(fun () -> Client.drop slot)
+  @@ fun () ->
+  for i = 1 to 2 do
+    match Client.call_kept ~metrics ~socket:shard.fk_addr slot (score_rows_req ()) with
+    | Ok _ -> ()
+    | Error (c, m) -> Alcotest.failf "call %d: [%s] %s" i c m
+  done ;
+  (* the second call found the first connection closed under it *)
+  Alcotest.(check int) "fresh connections" 2 (Metrics.conns_fresh metrics) ;
+  Alcotest.(check int) "reused connections" 1 (Metrics.conns_reused metrics)
 
 (* ---- router limiter: overload sheds with a structured error ---- *)
 
@@ -1159,14 +1245,22 @@ let () =
             test_deadline_propagation ] );
       ( "scatter",
         [ Alcotest.test_case "one model version per response" `Quick
-            test_scatter_pins_version ] );
+            test_scatter_pins_version;
+          Alcotest.test_case "100k ids reassemble in linear time" `Quick
+            test_scatter_linear ] );
       ( "membership",
         [ Alcotest.test_case "router drain lifecycle" `Quick test_router_drain;
           Alcotest.test_case "probe eject and rejoin" `Quick
             test_probe_eject_rejoin;
           Alcotest.test_case "server drain mode" `Quick test_server_drain ] );
-      ( "hedge",
-        [ Alcotest.test_case "slow owner is raced" `Quick test_hedged_requests ] );
+      ( "health",
+        [ Alcotest.test_case "bounded over a wedged shard" `Quick
+            test_health_wedged_shard;
+          Alcotest.test_case "prober and health past a full backlog" `Quick
+            test_wedged_full_backlog ] );
+      ( "client",
+        [ Alcotest.test_case "stale connection retried fresh once" `Quick
+            test_stale_retry ] );
       ( "limiter-router",
         [ Alcotest.test_case "overload sheds structurally" `Quick
             test_router_limiter ] );
