@@ -40,7 +40,7 @@ let spawn ?(env = []) bin argv =
 let await_healthy addr =
   let deadline = Workload.Timing.now () +. 10.0 in
   let rec go () =
-    match Client.health ~socket:addr with
+    match Client.call_once ~socket:addr Protocol.Health with
     | Ok _ -> ()
     | Error _ | (exception Unix.Unix_error _) ->
       if Workload.Timing.now () > deadline then
@@ -81,10 +81,9 @@ let fixture ~root ~rows =
 let shard_handlers = "6"
 
 (* [f router] with [shards] serve processes ([env i] added to shard
-   [i]'s environment) behind one router ([route_args] added to its
-   command line), once every process answers health checks. Every
-   process is reaped on the way out. *)
-let with_fleet ~bin ?(env = fun _ -> []) ?(route_args = []) fx ~shards f =
+   [i]'s environment) behind one router, once every process answers
+   health checks. Every process is reaped on the way out. *)
+let with_fleet ~bin ?(env = fun _ -> []) fx ~shards f =
   let addr () = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
   let shard_addrs = List.init shards (fun _ -> addr ()) in
   let pids = ref [] in
@@ -105,7 +104,6 @@ let with_fleet ~bin ?(env = fun _ -> []) ?(route_args = []) fx ~shards f =
   let router = addr () in
   start
     ([ "route"; "--listen"; router; "--block"; "8"; "--handlers"; "4" ]
-    @ route_args
     @ List.concat
         (List.mapi
            (fun i a -> [ "--shard"; Printf.sprintf "shard%d=%s" i a ])

@@ -906,7 +906,7 @@ let score socket model rows dataset ids where deadline_ms op_ping op_list
   in
   with_runtime_errors @@ fun () ->
   if op_health then begin
-    match C.health ~socket with
+    match C.call_once ~socket P.Health with
     | Error e -> protocol_error e
     | Ok j ->
       let status =

@@ -374,8 +374,8 @@ let probe_member t m =
       (* bounded: a shard that accepts but never answers must count as
          down, not wedge the prober (and with it all membership
          transitions) forever *)
-      Client.health_timeout ~timeout:t.cfg.probe_timeout
-        ~socket:(Endpoint.to_string m.ms_endpoint)
+      Client.call_once ~timeout:t.cfg.probe_timeout
+        ~socket:(Endpoint.to_string m.ms_endpoint) Protocol.Health
     with
     | Ok j -> (
       match Option.bind (Json.member "status" j) Json.to_str with

@@ -2,11 +2,9 @@ type t = { fd : Unix.file_descr; lines : Listener.lines }
 
 (* Responses are read without a size cap: a score_where answer over a
    large segment legitimately exceeds the listener's request limit. *)
-let open_conn ?timeout socket =
-  let fd = Endpoint.connect ?timeout (Endpoint.of_string socket) in
-  { fd; lines = Listener.lines (Endpoint.read fd) }
+let of_fd fd = { fd; lines = Listener.lines (Endpoint.read fd) }
 
-let connect ~socket = open_conn socket
+let connect ~socket = of_fd (Endpoint.connect (Endpoint.of_string socket))
 
 (* Bound every read and write on the connection so a saturated or
    wedged peer surfaces as a transport error instead of blocking the
@@ -99,9 +97,17 @@ let drop slot =
    a frame boundary, so the connection stays in the slot. A transport
    failure may have left it mid-frame, so it is closed; if it had been
    reused it may just have gone stale between calls (server restart,
-   idle close), so the request goes once more on a fresh connection. *)
+   idle close), so the request goes once more on a fresh connection.
+   A stale connection fails at once; one that used up [timeout] has a
+   peer that stopped answering, and a second connection would only
+   double the wait. *)
 let call_kept ?metrics ?timeout ~socket slot request =
   let note record = Option.iter record metrics in
+  let expired since =
+    match timeout with
+    | Some dt -> Clock.wall () -. since >= dt
+    | None -> false
+  in
   let call_on c =
     Option.iter (set_timeouts c) timeout ;
     match call c request with
@@ -115,7 +121,7 @@ let call_kept ?metrics ?timeout ~socket slot request =
       r
   in
   let on_fresh () =
-    match open_conn ?timeout socket with
+    match of_fd (Endpoint.connect ?timeout (Endpoint.of_string socket)) with
     | exception Unix.Unix_error (e, _, _) ->
       Error ("transport", Unix.error_message e)
     | c ->
@@ -127,8 +133,9 @@ let call_kept ?metrics ?timeout ~socket slot request =
   | None -> on_fresh ()
   | Some c -> (
     note Metrics.record_conn_reused ;
+    let t0 = Clock.wall () in
     match call_on c with
-    | Error ("transport", _) -> on_fresh ()
+    | Error ("transport", _) when not (expired t0) -> on_fresh ()
     | r -> r)
 
 (* One request on a connection of its own, closed afterwards. *)
@@ -196,6 +203,3 @@ let score_where_retry ?policy ?metrics ?rng ~socket ~model ~dataset
             target = Protocol.Dataset_where { dataset; where };
             deadline_ms
           }))
-
-let health ~socket = call_once ~socket Protocol.Health
-let health_timeout ~timeout ~socket = call_once ~timeout ~socket Protocol.Health

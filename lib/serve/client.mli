@@ -68,7 +68,22 @@ val call_kept :
     ({!Endpoint.connect}, [SO_RCVTIMEO]/[SO_SNDTIMEO]), and the bound
     is lifted again before the connection stays in the slot; a
     timed-out call is a ["transport"] error, so its connection is
-    dropped. *)
+    dropped, and a reused one that ran out its [timeout] gets no fresh
+    retry: a peer that stopped answering costs one [timeout], not
+    two. *)
+
+val call_once :
+  ?timeout:float ->
+  socket:string ->
+  Protocol.request ->
+  (Json.t, string * string) result
+(** One request on a connection of its own, closed afterwards, with no
+    retries: what a health probe wants, the truth about right now.
+    [timeout] bounds the connect and every read and write as in
+    {!call_kept}, so a peer that accepts but never answers, or whose
+    accept backlog is full, is a ["transport"] error instead of a
+    wedged caller — one unresponsive shard must not freeze an active
+    prober for the rest of the fleet. *)
 
 val drop : t option ref -> unit
 (** Close and empty a connection slot (a no-op when empty). *)
@@ -144,16 +159,3 @@ val score_where_retry :
   ?deadline_ms:float ->
   Morpheus.Pred.t ->
   (float array, string * string) result
-
-val health : socket:string -> (Json.t, string * string) result
-(** One [health] request on a fresh connection (no retries — a health
-    probe wants the truth about right now). *)
-
-val health_timeout :
-  timeout:float -> socket:string -> (Json.t, string * string) result
-(** {!health} with the connect and every read and write on the probe
-    connection bounded by [timeout] seconds: a peer that accepts but
-    never answers, or whose accept backlog is full, surfaces as a
-    ["transport"] error instead of wedging the caller — what an active
-    prober needs, since one unresponsive shard must not freeze
-    membership for the rest of the fleet. *)

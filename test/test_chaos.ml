@@ -555,7 +555,7 @@ let serve_chaos seed () =
   Alcotest.(check int) "permanent error not retried" before
     (Metrics.retries cm) ;
   (* the server survived the storm: health answers, plain ping works *)
-  (match Client.health ~socket with
+  (match Client.call_once ~socket Protocol.Health with
   | Error (code, msg) -> Alcotest.failf "health: [%s] %s" code msg
   | Ok j -> (
     match Json.member "status" j with

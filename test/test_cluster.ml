@@ -426,7 +426,7 @@ let spawn_shard bin ~reg ~port =
 let await_healthy addr =
   let deadline = Unix.gettimeofday () +. 10.0 in
   let rec go () =
-    match Client.health ~socket:addr with
+    match Client.call_once ~socket:addr Protocol.Health with
     | Ok _ -> ()
     | Error _ | (exception Unix.Unix_error _) ->
       if Unix.gettimeofday () > deadline then

@@ -884,24 +884,41 @@ let test_scatter_linear () =
   let a = start_fake ~echo:true () and b = start_fake ~echo:true () in
   Fun.protect ~finally:(fun () -> stop_fake a ; stop_fake b)
   @@ fun () ->
-  let router = router_over ~probe_interval:0.0 [ ("s0", a.fk_addr); ("s1", b.fk_addr) ] in
-  Fun.protect ~finally:(fun () -> Router.stop router)
+  let over shards = router_over ~probe_interval:0.0 shards in
+  let whole = over [ ("s0", a.fk_addr) ] in
+  let split = over [ ("s0", a.fk_addr); ("s1", b.fk_addr) ] in
+  Fun.protect ~finally:(fun () -> Router.stop whole ; Router.stop split)
   @@ fun () ->
-  let addr = Endpoint.to_string (Router.endpoint router) in
   (* ~590 KB of frame; blocks of 4 alternate between the two owners,
      so each piece holds about half the ids *)
   let ids = Array.init 100_000 Fun.id in
-  let t0 = Unix.gettimeofday () in
-  (match
-     Client.with_client ~socket:addr (fun c ->
-         Client.score_ids c ~model:"m" ~dataset:"/ds" ids)
-   with
-  | Ok preds ->
-    if preds <> Array.map float_of_int ids then
-      Alcotest.fail "predictions are not the ids in request order"
-  | Error (c, m) -> Alcotest.failf "scattered score: [%s] %s" c m) ;
-  let dt = Unix.gettimeofday () -. t0 in
-  if dt > 2.0 then Alcotest.failf "100k-id scatter took %.2fs" dt
+  let timed router =
+    let t0 = Unix.gettimeofday () in
+    (match
+       Client.with_client
+         ~socket:(Endpoint.to_string (Router.endpoint router))
+         (fun c -> Client.score_ids c ~model:"m" ~dataset:"/ds" ids)
+     with
+    | Ok preds ->
+      if preds <> Array.map float_of_int ids then
+        Alcotest.fail "predictions are not the ids in request order"
+    | Error (c, m) -> Alcotest.failf "score: [%s] %s" c m) ;
+    Unix.gettimeofday () -. t0
+  in
+  let scattered router =
+    let cluster = Option.get (Json.member "cluster" (Router.stats router)) in
+    Option.bind (Json.member "scattered" cluster) Json.to_int
+  in
+  (* the same ids cross the same hops whether one owner serves them
+     whole or two serve a piece each, so the whole request's time
+     takes the host's speed out of the bound; quadratic reassembly
+     adds seconds on top of it *)
+  let t_whole = timed whole in
+  let t_split = timed split in
+  Alcotest.(check (option int)) "one owner: forwarded whole" (Some 0) (scattered whole) ;
+  Alcotest.(check (option int)) "two owners: scattered" (Some 1) (scattered split) ;
+  if t_split > (3.0 *. t_whole) +. 0.5 then
+    Alcotest.failf "100k ids: scattered %.2fs, whole %.2fs" t_split t_whole
 
 (* ---- health and stats stay bounded over a wedged shard ---- *)
 
@@ -1001,6 +1018,27 @@ let test_stale_retry () =
   Alcotest.(check int) "fresh connections" 2 (Metrics.conns_fresh metrics) ;
   Alcotest.(check int) "reused connections" 1 (Metrics.conns_reused metrics)
 
+(* A reused connection whose call ran out its timeout is not retried:
+   the peer stopped answering, and it would only be waited out twice. *)
+let test_timeout_not_retried () =
+  let shard = start_fake ~score_delay:0.5 () in
+  Fun.protect ~finally:(fun () -> stop_fake shard)
+  @@ fun () ->
+  let metrics = Metrics.create () in
+  let slot = ref None in
+  Fun.protect ~finally:(fun () -> Client.drop slot)
+  @@ fun () ->
+  let call ?timeout req = Client.call_kept ~metrics ?timeout ~socket:shard.fk_addr slot req in
+  (match call Protocol.Health with
+  | Ok _ -> ()
+  | Error (c, m) -> Alcotest.failf "health: [%s] %s" c m) ;
+  (match call ~timeout:0.1 (score_rows_req ()) with
+  | Error ("transport", _) -> ()
+  | Ok _ -> Alcotest.fail "a 0.5 s score answered within 0.1 s"
+  | Error (c, m) -> Alcotest.failf "score: [%s] %s" c m) ;
+  Alcotest.(check int) "fresh connections" 1 (Metrics.conns_fresh metrics) ;
+  Alcotest.(check int) "reused connections" 1 (Metrics.conns_reused metrics)
+
 (* ---- router limiter: overload sheds with a structured error ---- *)
 
 let test_router_limiter () =
@@ -1077,7 +1115,7 @@ let spawn_shard bin ~reg ~port =
 
 let await_shard_healthy addr =
   await ~what:(addr ^ " healthy") (fun () ->
-      match Client.health ~socket:addr with
+      match Client.call_once ~socket:addr Protocol.Health with
       | Ok _ -> true
       | Error _ -> false
       | exception Unix.Unix_error _ -> false)
@@ -1260,7 +1298,9 @@ let () =
             test_wedged_full_backlog ] );
       ( "client",
         [ Alcotest.test_case "stale connection retried fresh once" `Quick
-            test_stale_retry ] );
+            test_stale_retry;
+          Alcotest.test_case "timed-out connection not retried" `Quick
+            test_timeout_not_retried ] );
       ( "limiter-router",
         [ Alcotest.test_case "overload sheds structurally" `Quick
             test_router_limiter ] );
