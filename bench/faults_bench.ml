@@ -1,22 +1,33 @@
 (* Transport-fault bench: closed-loop routed scoring throughput while
-   the shards' transport layer misbehaves. Two shard server processes
-   and one router run from the CLI binary (MORPHEUS_BIN); each point
-   arms transport fault points in the *shard* processes via
-   MORPHEUS_FAULTS in their environment:
+   the shards' transport layer misbehaves, and while clients outnumber
+   the router's handlers. Two shard server processes and one router
+   run from the CLI binary (MORPHEUS_BIN); each point arms transport
+   fault points in the *shard* processes via MORPHEUS_FAULTS in their
+   environment:
    - none, read, read+torn: 0, 1 or 2 byte-level faults on both
      shards — dropped reads (`endpoint.read`) and torn frames
      (`endpoint.write.torn`);
    - slow-owner: shard 0 alone stalls 2% of its writes by 50 ms
      (`endpoint.stall`). Its health probes still answer well within
      the router's probe timeout, so the point measures a slow owner,
-     not failover, and it fails unless every shard is still active at
-     the end of its window.
+     not failover;
+   - overload: no faults, 16 clients against the router's 4 handlers.
+     A client's latency then includes its wait for a handler, which
+     the router's own `score_ids` mean (from its `stats`) leaves out.
+   A point whose faults cannot fail a probe (none, slow-owner,
+   overload) fails unless every shard is still active at the end of
+   each of its runs.
 
    Clients issue score_ids with the retrying client (transport errors
    are retryable and idempotent, so every accepted answer is still
-   bitwise-identical to a fault-free run); the reported quantities are
-   requests/s, success-latency p50/p95/p99 (a slow owner shows at p99,
-   not at p95), and how many requests exhausted the retry budget.
+   bitwise-identical to a fault-free run). Each point runs `--runs`
+   times, each on a fresh fleet; per point the report holds the
+   median and min–max over runs of requests/s, success-latency
+   p50/p95/p99 (a slow owner shows at p99, not at p95) and the
+   router's `score_ids` mean, how many requests exhausted the retry
+   budget, and the CPU steal ticks (`/proc/stat`) the host lost during
+   the point's runs: on a shared VM the spread follows steal more than
+   code.
 
    Results go to stdout as a table and to BENCH_faults.json. *)
 
@@ -24,17 +35,30 @@ open La
 open Morpheus_serve
 open Workload
 
-let client_threads = 4
+type point = {
+  label : string;
+  faults : string;  (* MORPHEUS_FAULTS for the armed shards; "" for none *)
+  armed : int;  (* fault points armed *)
+  owner_only : bool;  (* armed on shard 0 alone *)
+  clients : int;  (* closed-loop client threads *)
+}
 
-(* (label, MORPHEUS_FAULTS spec, armed point count, slow owner). The
-   byte-fault points arm both shards and fail probes legitimately; the
-   slow owner arms shard 0 alone and must leave every shard active. *)
-let fault_configs =
-  [ ("none", "", 0, false);
-    ("read", "seed=7,endpoint.read=0.02", 1, false);
-    ("read+torn", "seed=7,endpoint.read=0.02,endpoint.write.torn=0.01", 2, false);
-    ("slow-owner", "seed=7,endpoint.stall=0.02:delay50", 1, true)
+let points =
+  let p ?(faults = "") ?(armed = 0) ?(owner_only = false) ?(clients = 4) label =
+    { label; faults; armed; owner_only; clients }
+  in
+  [ p "none";
+    p "read" ~faults:"seed=7,endpoint.read=0.02" ~armed:1;
+    p "read+torn" ~faults:"seed=7,endpoint.read=0.02,endpoint.write.torn=0.01"
+      ~armed:2;
+    p "slow-owner" ~faults:"seed=7,endpoint.stall=0.02:delay50" ~armed:1
+      ~owner_only:true;
+    p "overload" ~clients:16
   ]
+
+(* Byte faults on both shards fail probes legitimately; nothing else
+   may cost a shard its place. *)
+let must_stay_active p = p.armed = 0 || p.owner_only
 
 let policy =
   { Client.default_retry with
@@ -45,19 +69,52 @@ let policy =
     retry_codes = "unavailable" :: "rejected" :: Client.default_retry.retry_codes
   }
 
-(* One point: 2 shards with [faults] armed (on shard 0 alone for a
-   [slow] owner), a router at the fleet defaults, [client_threads]
-   threads of retried score_ids for [window] s. A request that exhausts
-   its retry budget under injected faults fails with a structured
-   transient error, never a wrong answer. *)
-let point ~bin (fx : Fleet.fixture) ~window ~faults ~slow =
+(* The host's CPU steal ticks so far (the 8th value of /proc/stat's
+   `cpu` line), or [None] where that file is unreadable. *)
+let steal_ticks () =
+  match In_channel.with_open_text "/proc/stat" In_channel.input_line with
+  | Some line -> (
+    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+    | "cpu" :: fields when List.length fields >= 8 ->
+      int_of_string_opt (List.nth fields 7)
+    | _ -> None)
+  | None | (exception Sys_error _) -> None
+
+(* The router's mean time inside a handler per score_ids request. *)
+let router_score_mean router =
+  match Client.call_once ~timeout:5.0 ~socket:router Protocol.Stats with
+  | Ok j ->
+    List.fold_left
+      (fun acc k -> Option.bind acc (Json.member k))
+      (Some j)
+      [ "stats"; "ops"; "score_ids"; "latency"; "mean_s" ]
+    |> Fun.flip Option.bind Json.to_float
+    |> Option.value ~default:Float.nan
+  | Error _ -> Float.nan
+
+type run = {
+  req_per_s : float;
+  exhausted : int;
+  p50 : float;
+  p95 : float;
+  p99 : float;
+  router_mean : float;
+}
+
+(* One run of [p]: 2 shards with its faults armed, a router at the
+   fleet defaults, [p.clients] threads of retried score_ids for
+   [window] s. A request that exhausts its retry budget under injected
+   faults fails with a structured transient error, never a wrong
+   answer. *)
+let run_once ~bin (fx : Fleet.fixture) ~window p =
   let env i =
-    if faults = "" || (slow && i <> 0) then [] else [ "MORPHEUS_FAULTS=" ^ faults ]
+    if p.faults = "" || (p.owner_only && i <> 0) then []
+    else [ "MORPHEUS_FAULTS=" ^ p.faults ]
   in
   Fleet.with_fleet ~bin ~env fx ~shards:2
   @@ fun router ->
   let loop =
-    Harness.closed_loop ~threads:client_threads ~stop:(Seconds window)
+    Harness.closed_loop ~threads:p.clients ~stop:(Seconds window)
       (fun th send ->
         let rng = Rng.of_int (0xfa017 + th) in
         send (fun i ->
@@ -67,60 +124,95 @@ let point ~bin (fx : Fleet.fixture) ~window ~faults ~slow =
             Client.score_ids_retry ~policy ~rng ~socket:router ~model:fx.model
               ~dataset:fx.dataset ids))
   in
-  if slow then Fleet.require_all_active router ;
-  loop
+  if must_stay_active p then Fleet.require_all_active router ;
+  let q x = Timing.percentile x loop.latencies in
+  { req_per_s = float_of_int loop.ok /. loop.elapsed;
+    exhausted = loop.failed;
+    p50 = q 50.0;
+    p95 = q 95.0;
+    p99 = q 99.0;
+    router_mean = router_score_mean router
+  }
+
+(* [p]'s runs, and the steal ticks over them ([None] if unreadable). *)
+let measure ~bin fx ~window ~runs p =
+  let before = steal_ticks () in
+  let results = List.init runs (fun _ -> run_once ~bin fx ~window p) in
+  let steal =
+    match (before, steal_ticks ()) with
+    | Some a, Some b -> Some (b - a)
+    | _ -> None
+  in
+  (p, results, steal)
+
+let median xs = Timing.percentile 50.0 (Array.of_list xs)
+let lo xs = List.fold_left Float.min Float.infinity xs
+let hi xs = List.fold_left Float.max Float.neg_infinity xs
+let exhausted rs = List.fold_left (fun n r -> n + r.exhausted) 0 rs
 
 let run cfg =
   Harness.section
-    "Transport chaos: routed throughput under byte-level faults and a slow \
-     owner" ;
+    "Transport chaos: routed throughput under byte-level faults, a slow \
+     owner and overload" ;
   match Fleet.cli () with
   | None -> ()
   | Some bin ->
     let rows = if cfg.Harness.quick then 400 else 2_000 in
     let window = if cfg.Harness.quick then 0.8 else 2.5 in
+    let runs = max 1 cfg.Harness.runs in
     Harness.with_temp_dir "faults_bench"
     @@ fun root ->
     let fx = Fleet.fixture ~root ~rows in
     Printf.printf
-      "dataset: %d rows; 2 shards, %d client threads, %gs window per point; \
-       host cores online: %d\n"
-      rows client_threads window Harness.cores_online ;
-    let results =
-      List.map
-        (fun (label, faults, armed, slow) ->
-          let loop = point ~bin fx ~window ~faults ~slow in
-          let p q = Timing.percentile q loop.latencies in
-          ( label, armed, float_of_int loop.ok /. loop.elapsed, loop.failed,
-            p 50.0, p 95.0, p 99.0 ))
-        fault_configs
-    in
-    Printf.printf "\n%-11s %6s %10s %10s %10s %10s %10s\n" "faults" "armed"
-      "req/s" "p50" "p95" "p99" "exhausted" ;
+      "dataset: %d rows; 2 shards, router with %d handlers, %gs window, %d \
+       runs per point; host cores online: %d\n"
+      rows Fleet.router_handlers window runs Harness.cores_online ;
+    let results = List.map (measure ~bin fx ~window ~runs) points in
+    let steal_cell = function Some n -> string_of_int n | None -> "-" in
+    Printf.printf "\n%-11s %5s %7s %18s %9s %20s %10s %9s %6s\n" "faults"
+      "armed" "clients" "req/s (min-max)" "p50" "p99 (min-max)" "router" "exhausted"
+      "steal" ;
     List.iter
-      (fun (label, armed, rate, exhausted, p50, p95, p99) ->
-        Printf.printf "%-11s %6d %10.0f %10s %10s %10s %10d\n" label armed
-          rate (Harness.ts p50) (Harness.ts p95) (Harness.ts p99) exhausted)
+      (fun (p, rs, steal) ->
+        let rate = List.map (fun r -> r.req_per_s) rs and p99 = List.map (fun r -> r.p99) rs in
+        Printf.printf "%-11s %5d %7d %6.0f (%4.0f-%4.0f) %9s %8s (%s-%s) %10s %9d %6s\n"
+          p.label p.armed p.clients (median rate) (lo rate) (hi rate)
+          (Harness.ts (median (List.map (fun r -> r.p50) rs)))
+          (Harness.ts (median p99)) (Harness.ts (lo p99)) (Harness.ts (hi p99))
+          (Harness.ts (median (List.map (fun r -> r.router_mean) rs)))
+          (exhausted rs) (steal_cell steal))
       results ;
     let open Harness in
+    let spread f rs =
+      let xs = List.map f rs in
+      Json.Obj [ ("median", num (median xs)); ("min", num (lo xs)); ("max", num (hi xs)) ]
+    in
     write_report cfg "BENCH_faults.json"
       [ ( "setting",
           Json.Obj
             [ ("rows", int rows); ("shards", int 2);
-              ("client_threads", int client_threads); ("window_s", num window);
+              ("router_handlers", int Fleet.router_handlers);
+              ("window_s", num window); ("runs", int runs);
               ("ids_per_request", int 8); ("block", int 8);
               ("retry_attempts", int policy.attempts)
             ] );
         ( "points",
           list
-            (fun (label, armed, rate, exhausted, p50, p95, p99) ->
+            (fun (p, rs, steal) ->
               Json.Obj
-                [ ("faults", Json.Str label); ("points_armed", int armed);
-                  ("req_per_s", num rate); ("retry_exhausted", int exhausted);
+                [ ("faults", Json.Str p.label); ("points_armed", int p.armed);
+                  ("clients", int p.clients);
+                  ("req_per_s", spread (fun r -> r.req_per_s) rs);
+                  ("retry_exhausted", int (exhausted rs));
                   ( "latency_s",
                     Json.Obj
-                      [ ("p50", num p50); ("p95", num p95); ("p99", num p99) ]
-                  )
+                      [ ("p50", spread (fun r -> r.p50) rs);
+                        ("p95", spread (fun r -> r.p95) rs);
+                        ("p99", spread (fun r -> r.p99) rs)
+                      ] );
+                  ("router_score_ids_mean_s", spread (fun r -> r.router_mean) rs);
+                  ( "steal_ticks",
+                    match steal with Some n -> int n | None -> Json.Null )
                 ])
             results )
       ]

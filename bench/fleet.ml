@@ -73,6 +73,9 @@ let fixture ~root ~rows =
   in
   { rows; dataset; registry; model = entry.Registry.id }
 
+(* The router's handler threads, as at the CLI default. *)
+let router_handlers = 4
+
 (* Each of the router's 4 handlers keeps one connection per shard, and
    a shard gives every connection a handler of its own. With 4 shard
    handlers all of them are held and health probes queue until their
@@ -103,7 +106,8 @@ let with_fleet ~bin ?(env = fun _ -> []) fx ~shards f =
   List.iter await_healthy shard_addrs ;
   let router = addr () in
   start
-    ([ "route"; "--listen"; router; "--block"; "8"; "--handlers"; "4" ]
+    ([ "route"; "--listen"; router; "--block"; "8"; "--handlers";
+       string_of_int router_handlers ]
     @ List.concat
         (List.mapi
            (fun i a -> [ "--shard"; Printf.sprintf "shard%d=%s" i a ])

@@ -46,7 +46,7 @@ let experiments : (string * string * (Harness.config -> unit)) list =
      Serve_bench.run);
     ("cluster", "Sharded serving: routed throughput over 1/2/4 shard processes, JSON report",
      Cluster_bench.run);
-    ("faults", "Transport chaos: throughput with 0/1/2 armed fault points and a slow owner, JSON report",
+    ("faults", "Transport chaos: throughput with 0/1/2 armed fault points, a slow owner and overload, JSON report",
      Faults_bench.run);
     ("sync", "Sync named-lock wrapper overhead vs raw mutexes, JSON report",
      Sync_bench.run);

@@ -598,7 +598,7 @@ let check_endpoint ~cmd s =
 
 let serve registry socket listen threads max_batch max_wait_ms queue_bound
     handlers cache_capacity deadline_ms breaker_threshold breaker_cooldown_ms
-    lockdep replicate_from replicate_interval_ms drain_on limit_target_ms =
+    lockdep replicate_from replicate_interval_ms drain_on =
   apply_threads threads ;
   if lockdep then Analysis.Sync.enable_lockdep () ;
   let drain_on_term =
@@ -609,11 +609,6 @@ let serve registry socket listen threads max_batch max_wait_ms queue_bound
       Fmt.epr "morpheus serve: --drain-on only supports SIGTERM, got %S@." other ;
       exit 2
   in
-  (match limit_target_ms with
-  | Some ms when ms <= 0.0 ->
-    Fmt.epr "morpheus serve: --limit-target-ms must be > 0@." ;
-    exit 2
-  | _ -> ()) ;
   if max_batch < 1 || queue_bound < 1 || handlers < 1 || cache_capacity < 1
      || max_wait_ms < 0.0
   then begin
@@ -661,8 +656,7 @@ let serve registry socket listen threads max_batch max_wait_ms queue_bound
           default_deadline_ms = deadline_ms;
           breaker_threshold;
           breaker_cooldown = breaker_cooldown_ms /. 1e3;
-          drain_on_term;
-          limiter_target_ms = limit_target_ms
+          drain_on_term
         })
 
 let serve_cmd =
@@ -731,11 +725,6 @@ let serve_cmd =
                  then the server exits on its own. SIGINT still stops \
                  immediately.")
   in
-  let limit_target =
-    Arg.(value & opt (some float) None & info [ "limit-target-ms" ]
-           ~doc:"Latency target for the adaptive (AIMD) concurrency limit \
-                 over score requests; omitted disables admission limiting.")
-  in
   Cmd.v
     (cmd_info "serve"
        ~doc:"Serve models from a registry over a Unix domain socket or TCP \
@@ -743,13 +732,12 @@ let serve_cmd =
     Term.(const serve $ registry_arg $ socket $ listen $ threads_arg
           $ max_batch $ max_wait $ queue_bound $ handlers $ cache $ deadline
           $ breaker_threshold $ breaker_cooldown $ lockdep $ replicate_from
-          $ replicate_interval $ drain_on $ limit_target)
+          $ replicate_interval $ drain_on)
 
 (* ---- route: the consistent-hash router over shard servers ---- *)
 
 let route listen shards vnodes block handlers breaker_threshold
-    breaker_cooldown_ms lockdep probe_interval_ms eject_after rejoin_after
-    limit_target_ms =
+    breaker_cooldown_ms lockdep probe_interval_ms eject_after rejoin_after =
   if lockdep then Analysis.Sync.enable_lockdep () ;
   let parse_shard spec =
     match String.index_opt spec '=' with
@@ -777,11 +765,6 @@ let route listen shards vnodes block handlers breaker_threshold
     Fmt.epr "morpheus route: --eject-after/--rejoin-after must be >= 1@." ;
     exit 2
   end ;
-  (match limit_target_ms with
-  | Some ms when ms <= 0.0 ->
-    Fmt.epr "morpheus route: --limit-target-ms must be > 0@." ;
-    exit 2
-  | _ -> ()) ;
   with_runtime_errors @@ fun () ->
   Morpheus_cluster.Router.run
     { Morpheus_cluster.Router.listen;
@@ -793,10 +776,8 @@ let route listen shards vnodes block handlers breaker_threshold
       breaker_cooldown = breaker_cooldown_ms /. 1e3;
       probe_interval = probe_interval_ms /. 1e3;
       probe_timeout = 1.0;
-      suspect_after = 1;
       eject_after;
-      rejoin_after;
-      limiter_target_ms = limit_target_ms
+      rejoin_after
     }
 
 let route_cmd =
@@ -855,12 +836,6 @@ let route_cmd =
            ~doc:"Consecutive probe successes before an ejected shard \
                  rejoins the ring.")
   in
-  let limit_target =
-    Arg.(value & opt (some float) None & info [ "limit-target-ms" ]
-           ~doc:"Latency target for the adaptive (AIMD) concurrency limit \
-                 over routed score requests; omitted disables admission \
-                 limiting.")
-  in
   Cmd.v
     (cmd_info "route"
        ~doc:"Route scoring requests over shard servers with consistent \
@@ -870,7 +845,7 @@ let route_cmd =
              that span shards.")
     Term.(const route $ listen $ shards $ vnodes $ block $ handlers
           $ breaker_threshold $ breaker_cooldown $ lockdep $ probe_interval
-          $ eject_after $ rejoin_after $ limit_target)
+          $ eject_after $ rejoin_after)
 
 (* ---- score: client for the scoring server ---- *)
 

@@ -6,7 +6,8 @@
        owner shard(s) via the ring
      forward: per-shard cached connection (kept alive across
        requests), circuit breaker per shard, failover to the next
-       distinct shard in ring order on transport failure
+       distinct shard in ring order on transport failure; a request
+       with a deadline is bounded by the budget it has left
      scatter-gather: an id-set spanning shards is split per owner,
        the pieces are scored one after another — every piece after the
        first names the model version the first one resolved — and
@@ -37,10 +38,8 @@ type config = {
   breaker_cooldown : float;
   probe_interval : float;
   probe_timeout : float;
-  suspect_after : int;
   eject_after : int;
   rejoin_after : int;
-  limiter_target_ms : float option;
 }
 
 let default_config ~listen ~shards =
@@ -53,10 +52,8 @@ let default_config ~listen ~shards =
     breaker_cooldown = 1.0;
     probe_interval = 0.25;
     probe_timeout = 1.0;
-    suspect_after = 1;
     eject_after = 3;
-    rejoin_after = 2;
-    limiter_target_ms = None
+    rejoin_after = 2
   }
 
 (* Kept in forwarding order; `morpheus lint` (E208) cross-checks this
@@ -95,7 +92,6 @@ type t = {
   members : (string * member) list;
   mem_m : Analysis.Sync.t;  (* guards ring + mutable member fields *)
   mutable ring : Ring.t;
-  limiter : Limiter.t option;
   listener : Listener.t;
   (* cluster counters *)
   state_m : Analysis.Sync.t;
@@ -183,14 +179,27 @@ let attempt_shard ?timeout t cache shard request =
 (* Forward a request along a shard order (owner first, then the ring's
    failover successors). A shard answering — even with a protocol
    error — ends the walk: only transport-level failures and open
-   breakers move on to the next shard. *)
-let forward_ordered t cache order request =
+   breakers move on to the next shard.
+
+   [due] is the instant a score request's client budget runs out. Each
+   attempt then forwards the budget left as its [deadline_ms] and is
+   bounded by it. A forward that runs it out answers
+   [deadline_exceeded], tries no successor and records no breaker
+   failure: a client's short budget says nothing about the shard, and
+   the prober is what ejects a wedged one. *)
+let forward_ordered ?due t cache order request =
+  let spent () = match due with Some d -> now () >= d | None -> false in
+  let out_of_budget () =
+    Metrics.record_error t.metrics ~code:"deadline_exceeded" ;
+    Error ("deadline_exceeded", "deadline passed while forwarding to a shard")
+  in
   let rec go ~first = function
     | [] ->
       Metrics.record_error t.metrics ~code:"unavailable" ;
       Error
         ( "unavailable",
           "no shard reachable (all circuits open or connections failing)" )
+    | _ when spent () -> out_of_budget ()
     | shard :: rest ->
       let b = breaker t shard in
       if not (Breaker.allow b) then begin
@@ -199,7 +208,18 @@ let forward_ordered t cache order request =
       end
       else begin
         if not first then count t (fun () -> t.failovers <- t.failovers + 1) ;
-        match attempt_shard t cache shard request with
+        let timeout, request =
+          match (due, request) with
+          | Some d, Protocol.Score s ->
+            (* a socket timeout that rounds to 0 would mean none *)
+            let left = Float.max 1e-3 (d -. now ()) in
+            (Some left, Protocol.Score { s with deadline_ms = Some (left *. 1e3) })
+          | _ -> (None, request)
+        in
+        match attempt_shard ?timeout t cache shard request with
+        | Error ("transport", _) when spent () ->
+          Breaker.abandon b ;
+          out_of_budget ()
         | Error ("transport", _) ->
           Breaker.failure b ;
           note_shard_error t shard ;
@@ -212,9 +232,9 @@ let forward_ordered t cache order request =
   in
   go ~first:true order
 
-let forward_by_key t cache key request =
+let forward_by_key ?due t cache key request =
   count t (fun () -> t.forwarded <- t.forwarded + 1) ;
-  forward_ordered t cache (Ring.successors (ring_now t) key) request
+  forward_ordered ?due t cache (Ring.successors (ring_now t) key) request
 
 let render = function
   | Ok j -> j
@@ -232,10 +252,10 @@ let block_key t ~model ~dataset id =
    reassemble the predictions into the original positions. The first
    piece to answer pins the model version: the rest name the id it
    resolved, so a publish between pieces cannot mix two versions
-   into one response. Any failing piece fails the whole request with
-   that piece's error — matching a single server, which also answers
-   a whole score request with one error. *)
-let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
+   into one response. The pieces share one [due]. Any failing piece
+   fails the whole request with that piece's error — matching a single
+   server, which also answers a whole score request with one error. *)
+let scatter_score ?due t cache ~model ~dataset ~ids =
   let ring = ring_now t in
   let owners = Array.map (fun id -> Ring.lookup ring (block_key t ~model ~dataset id)) ids in
   let groups = ref [] in
@@ -256,9 +276,9 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
       | [] -> score_key ~model ~dataset
     in
     render
-      (forward_by_key t cache key
+      (forward_by_key ?due t cache key
          (Protocol.Score
-            { model; target = Protocol.Dataset { dataset; ids }; deadline_ms }))
+            { model; target = Protocol.Dataset { dataset; ids }; deadline_ms = None }))
   | _ ->
     count t (fun () ->
         t.scattered <- t.scattered + 1 ;
@@ -276,11 +296,11 @@ let scatter_score t cache ~model ~dataset ~ids ~deadline_ms =
                  (Ring.successors ring (score_key ~model ~dataset))
           in
           match
-            forward_ordered t cache order
+            forward_ordered ?due t cache order
               (Protocol.Score
                  { model = Option.value !model_id ~default:model;
                    target = Protocol.Dataset { dataset; ids = sub_ids };
-                   deadline_ms
+                   deadline_ms = None
                  })
           with
           | Error (code, message) -> failed := Some (code, message)
@@ -362,8 +382,7 @@ let note_probe t m outcome =
              suspect so forwarding still tries it *)
           m.ms_state <- Suspect
       end
-      else if m.ms_fails >= t.cfg.suspect_after && m.ms_state = Active then
-        m.ms_state <- Suspect)) ;
+      else if m.ms_state = Active then m.ms_state <- Suspect)) ;
   Analysis.Sync.unlock t.mem_m
 
 let probe_member t m =
@@ -426,13 +445,11 @@ let shard_health t cache shard =
 
 let handle_health t cache =
   let statuses = List.map (fun (s, _) -> (s, shard_health t cache s)) t.cfg.shards in
-  let worst =
-    if List.for_all (fun (_, s) -> s = "ok") statuses then "ok"
-    else if List.exists (fun (_, s) -> s = "down") statuses then "degraded"
-    else "degraded"
+  let status =
+    if List.for_all (fun (_, s) -> s = "ok") statuses then "ok" else "degraded"
   in
   Protocol.ok
-    [ ("status", Json.Str worst);
+    [ ("status", Json.Str status);
       ("shards", Json.Obj (List.map (fun (n, s) -> (n, Json.Str s)) statuses));
       ("uptime_s", Json.Num (now () -. t.started))
     ]
@@ -550,11 +567,7 @@ let cluster_json ?health t =
       ("subrequests", Json.Num (float_of_int subrequests));
       ("failovers", Json.Num (float_of_int failovers));
       ("breaker_skips", Json.Num (float_of_int breaker_skips));
-      ("expired", Json.Num (float_of_int expired));
-      ( "limiter",
-        match t.limiter with
-        | Some lim -> Limiter.snapshot lim
-        | None -> Json.Null )
+      ("expired", Json.Num (float_of_int expired))
     ]
 
 let stats_payload ?health t =
@@ -571,13 +584,14 @@ let request_stop t = Listener.request_stop t.listener
 
 (* Deadline-aware admission: decrement the client's budget by the time
    the frame spent between arrival and dispatch (queue wait + parse +
-   any stall), shed with `expired` when nothing remains, and forward
-   the decremented budget so the shard sees only what is truly left.
-   Never silently late: an overdrawn request gets a structured error,
-   not a best-effort answer. *)
+   any stall), and shed with `expired` when nothing remains. An
+   admitted request with a deadline gets its [due] instant, from which
+   each forward sends the shard only what is truly left. Never
+   silently late: an overdrawn request gets a structured error, not a
+   best-effort answer. *)
 let admit t ~arrived req =
   match req with
-  | Protocol.Score { model; target; deadline_ms = Some ms } ->
+  | Protocol.Score { deadline_ms = Some ms; _ } ->
     (* the fault point sits before the elapsed computation: an armed
        delay action deterministically inflates the measured queue time *)
     Fault.point "router.admit" ;
@@ -593,12 +607,8 @@ let admit t ~arrived req =
                 "deadline expired before dispatch (%.3fms budget, %.3fms queue)"
                 ms elapsed_ms))
     end
-    else Ok (Protocol.Score { model; target; deadline_ms = Some remaining })
-  | req -> Ok req
-
-let with_limiter t f =
-  Limiter.admit t.limiter ~metrics:t.metrics
-    ~shed_message:"concurrency limit reached at router, request shed" f
+    else Ok (Some (arrived +. (ms /. 1e3)))
+  | _ -> Ok None
 
 let handle_drain t shard =
   match List.assoc_opt shard t.members with
@@ -647,7 +657,7 @@ let handle_request t cache ~arrived req =
   in
   match admit t ~arrived req with
   | Error resp -> resp
-  | Ok req -> (
+  | Ok due -> (
     match req with
     | Protocol.Ping ->
       Metrics.record t.metrics ~op:"ping" ~seconds:0.0 ;
@@ -678,17 +688,12 @@ let handle_request t cache ~arrived req =
       timed "list" (fun () ->
           render (forward_ordered t cache (Ring.successors (ring_now t) "list") req))
     | Protocol.Score { model; target = Protocol.Rows _; _ } ->
-      timed "score_rows" (fun () ->
-          with_limiter t (fun () -> render (forward_by_key t cache model req)))
+      timed "score_rows" (fun () -> render (forward_by_key ?due t cache model req))
     | Protocol.Score { model; target = Protocol.Dataset_where { dataset; _ }; _ } ->
       timed "score_where" (fun () ->
-          with_limiter t (fun () ->
-              render (forward_by_key t cache (score_key ~model ~dataset) req)))
-    | Protocol.Score
-        { model; target = Protocol.Dataset { dataset; ids }; deadline_ms } ->
-      timed "score_ids" (fun () ->
-          with_limiter t (fun () ->
-              scatter_score t cache ~model ~dataset ~ids ~deadline_ms)))
+          render (forward_by_key ?due t cache (score_key ~model ~dataset) req))
+    | Protocol.Score { model; target = Protocol.Dataset { dataset; ids }; _ } ->
+      timed "score_ids" (fun () -> scatter_score ?due t cache ~model ~dataset ~ids))
 
 (* One per Listener handler thread: the shard-connection cache lives
    as long as the thread (or until a crash replaces the handler). *)
@@ -740,10 +745,6 @@ let start cfg =
           cfg.shards;
       mem_m = Analysis.Sync.create ~name:"cluster.router.membership" ();
       ring = Ring.create ~vnodes:cfg.vnodes (List.map fst cfg.shards);
-      limiter =
-        Option.map
-          (fun ms -> Limiter.create ~target:(ms /. 1e3) ())
-          cfg.limiter_target_ms;
       listener;
       state_m = Analysis.Sync.create ~name:"cluster.router.state" ();
       forwarded = 0;

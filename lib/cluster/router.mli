@@ -28,8 +28,9 @@
     prober thread; no supervisor thread.
 
     Control plane: a prober thread health-checks every shard each
-    [probe_interval] and maintains dynamic membership — consecutive
-    probe failures walk a shard Active → Suspect → Ejected (it leaves
+    [probe_interval] and maintains dynamic membership — one failed
+    probe makes an active shard Suspect, [eject_after] consecutive
+    failures make it Ejected (it leaves
     the ring with minimal key movement), sustained recovery rejoins it
     automatically, and a shard reporting ["draining"] is taken out
     until healthy again. The [drain]/[undrain] ops drive the same
@@ -37,7 +38,10 @@
     machine. Requests carrying a deadline are admission-checked: the
     budget is decremented by observed queue time before forwarding and
     overdrawn requests are shed with an [expired] error, never
-    answered silently late.
+    answered silently late. Each forward of such a request (and every
+    piece of a scatter) is bounded by the budget left; one that runs
+    it out answers [deadline_exceeded], with no failover and no
+    breaker failure counted against the shard.
 
     The router holds no model or dataset state: [ping], [stats],
     [membership], [drain], [undrain], and [shutdown] answer locally,
@@ -66,24 +70,18 @@ type config = {
           instead of wedging the prober forever. The same bound
           applies to the per-shard health queries of the [health] and
           [stats] ops, which report such a shard ["down"]. *)
-  suspect_after : int;
-      (** consecutive probe failures before Active → Suspect *)
   eject_after : int;
       (** consecutive probe failures before the shard leaves the ring
           (never empties the ring: the last in-ring shard stays) *)
   rejoin_after : int;
       (** consecutive probe successes before an ejected or draining
           shard rejoins the ring *)
-  limiter_target_ms : float option;
-      (** latency target for the AIMD concurrency {!Limiter} over
-          routed score requests; [None] disables admission limiting *)
 }
 
 val default_config : listen:string -> shards:(string * string) list -> config
 (** vnodes {!Ring.default_vnodes}, block 64, handlers 4, breaker
     threshold 3 / cooldown 1s, probe every 250ms with a 1s probe
-    timeout, suspect after 1 / eject after 3 / rejoin after 2 probes,
-    no concurrency limiter. *)
+    timeout, eject after 3 / rejoin after 2 probes. *)
 
 val routed_op_names : string list
 (** The protocol ops the router forwards to shards (the rest are
@@ -113,7 +111,7 @@ val stats : t -> Morpheus_serve.Json.t
 (** The router's [stats] payload: metrics snapshot plus the [cluster]
     section (per-shard breaker and membership state, ring ownership
     histogram, forwarded / scattered / subrequest / failover / expired
-    counters, limiter snapshot). The [stats] protocol op additionally
+    counters). The [stats] protocol op additionally
     live-probes each shard's health, each query bounded by
     [probe_timeout]. *)
 

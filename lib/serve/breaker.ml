@@ -102,4 +102,6 @@ let failure t =
         t.failures <- t.failures + 1 ;
         if t.failures >= t.threshold then open_now t)
 
+let abandon t = locked t (fun () -> t.probing <- false)
+
 let opens t = locked t (fun () -> t.opens)

@@ -41,6 +41,11 @@ val failure : t -> unit
     [threshold] consecutive failures, and re-opens it (fresh cooldown)
     when a probe fails. *)
 
+val abandon : t -> unit
+(** The protected call ended with no verdict (its caller's deadline
+    ran out first): a claimed half-open probe is handed back, so the
+    next caller probes. A no-op on a closed circuit. *)
+
 val state : t -> state
 
 val opens : t -> int

@@ -75,7 +75,6 @@ type t = {
   (* robustness counters *)
   mutable retries : int;  (* client-side retry attempts *)
   mutable sheds : int;  (* requests shed at the queue bound *)
-  mutable limited : int;  (* requests shed by the AIMD concurrency limiter *)
   mutable restarts : int;  (* crashed handler threads restarted *)
   mutable write_errors : int;  (* response writes to dead peers *)
   mutable conns_reused : int;  (* retry attempts on a kept-alive connection *)
@@ -96,7 +95,6 @@ let create () =
     cache_misses = 0;
     retries = 0;
     sheds = 0;
-    limited = 0;
     restarts = 0;
     write_errors = 0;
     conns_reused = 0;
@@ -139,7 +137,6 @@ let record_cache t ~hit =
 
 let record_retry t = locked t (fun () -> t.retries <- t.retries + 1)
 let record_shed t = locked t (fun () -> t.sheds <- t.sheds + 1)
-let record_limited t = locked t (fun () -> t.limited <- t.limited + 1)
 let record_restart t = locked t (fun () -> t.restarts <- t.restarts + 1)
 let record_write_error t = locked t (fun () -> t.write_errors <- t.write_errors + 1)
 let record_conn_reused t = locked t (fun () -> t.conns_reused <- t.conns_reused + 1)
@@ -148,7 +145,6 @@ let conns_reused t = locked t (fun () -> t.conns_reused)
 let conns_fresh t = locked t (fun () -> t.conns_fresh)
 let retries t = locked t (fun () -> t.retries)
 let sheds t = locked t (fun () -> t.sheds)
-let limited t = locked t (fun () -> t.limited)
 let restarts t = locked t (fun () -> t.restarts)
 let write_errors t = locked t (fun () -> t.write_errors)
 
@@ -221,7 +217,6 @@ let snapshot t =
             Json.Obj
               [ ("retries", Json.Num (float_of_int t.retries));
                 ("sheds", Json.Num (float_of_int t.sheds));
-                ("limiter_sheds", Json.Num (float_of_int t.limited));
                 ("handler_restarts", Json.Num (float_of_int t.restarts));
                 ("write_errors", Json.Num (float_of_int t.write_errors));
                 ("conns_reused", Json.Num (float_of_int t.conns_reused));
@@ -305,9 +300,9 @@ let summary t =
     in
     Buffer.add_string buf
       (Printf.sprintf
-         "robustness    : %.0f sheds (%.0f limiter), %.0f handler restarts, \
+         "robustness    : %.0f sheds, %.0f handler restarts, \
           %.0f write errors, %.0f/%.0f conns reused/fresh\n"
-         (f "sheds") (f "limiter_sheds") (f "handler_restarts")
+         (f "sheds") (f "handler_restarts")
          (f "write_errors") (f "conns_reused") (f "conns_fresh"))
   | None -> ()) ;
   (match Json.member "concurrency" j with

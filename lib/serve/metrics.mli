@@ -28,9 +28,6 @@ val record_retry : t -> unit
 val record_shed : t -> unit
 (** One request shed at the queue bound. *)
 
-val record_limited : t -> unit
-(** One request shed by the AIMD concurrency limiter. *)
-
 val record_restart : t -> unit
 (** One handler crash: its connection was closed and the thread went
     back to the pool with a fresh handler ({!Listener}). *)
@@ -48,7 +45,6 @@ val record_conn_fresh : t -> unit
 
 val retries : t -> int
 val sheds : t -> int
-val limited : t -> int
 val restarts : t -> int
 val write_errors : t -> int
 val conns_reused : t -> int

@@ -27,7 +27,6 @@ type config = {
   breaker_threshold : int;
   breaker_cooldown : float;
   drain_on_term : bool;
-  limiter_target_ms : float option;
 }
 
 let default_config ~registry ~socket =
@@ -41,8 +40,7 @@ let default_config ~registry ~socket =
     default_deadline_ms = None;
     breaker_threshold = 5;
     breaker_cooldown = 1.0;
-    drain_on_term = false;
-    limiter_target_ms = None
+    drain_on_term = false
   }
 
 (* Batches coalesce per (resolved model version, dataset, canonical
@@ -80,8 +78,6 @@ type t = {
   breakers : (string, Breaker.t) Hashtbl.t;
   breaker_m : Analysis.Sync.t;
   recovered : int;  (* registry litter quarantined at startup *)
-  (* AIMD admission cap over in-flight score work (None = unlimited) *)
-  limiter : Limiter.t option;
   (* graceful drain: answer health with "draining", finish the queue,
      then stop — entered by the drain op or (with [drain_on_term])
      SIGTERM *)
@@ -365,11 +361,7 @@ let stats t =
                (Analysis.Sync.lock t.drain_m ;
                 let a = t.active in
                 Analysis.Sync.unlock t.drain_m ;
-                a)) );
-        ( "limiter",
-          match t.limiter with
-          | Some lim -> Limiter.snapshot lim
-          | None -> Json.Null )
+                a)) )
       ]
   in
   match metrics with
@@ -579,9 +571,7 @@ let handle_request t req =
     request_stop t ;
     Protocol.ok [ ("stopping", Json.Bool true) ]
   | Protocol.Score { model; target; deadline_ms } ->
-    Limiter.admit t.limiter ~metrics:t.metrics
-      ~shed_message:"concurrency limit reached, request shed" (fun () ->
-        handle_score t ~model ~target ~deadline_ms)
+    handle_score t ~model ~target ~deadline_ms
 
 (* ---- lifecycle ---- *)
 
@@ -605,10 +595,6 @@ let start cfg =
       breakers = Hashtbl.create 8;
       breaker_m = Analysis.Sync.create ~name:"serve.server.breakers" ();
       recovered;
-      limiter =
-        Option.map
-          (fun ms -> Limiter.create ~target:(ms /. 1e3) ())
-          cfg.limiter_target_ms;
       drain_m = Analysis.Sync.create ~name:"serve.server.drain" ();
       draining = false;
       active = 0;

@@ -43,16 +43,12 @@ type config = {
       (** when true, {!run}'s SIGTERM handler starts a graceful drain
           ([health] answers ["draining"], the queue finishes, then the
           server stops on its own) instead of stopping immediately *)
-  limiter_target_ms : float option;
-      (** latency target for the AIMD concurrency {!Limiter} over
-          in-flight score requests; [None] disables admission
-          limiting *)
 }
 
 val default_config : registry:string -> socket:string -> config
 (** max_batch 64, max_wait 2ms, queue_bound 1024, handlers 4,
     cache_capacity 4, no default deadline, breaker threshold 5 /
-    cooldown 1s, no drain-on-term, no concurrency limiter. *)
+    cooldown 1s, no drain-on-term. *)
 
 type t
 

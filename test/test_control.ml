@@ -1,8 +1,9 @@
 (* The control-plane suite (@controlcheck, also plain runtest):
    endpoint-string edge cases, wire-codec fuzzing (in memory and
-   against a live server socket), deterministic breaker jitter, the
-   AIMD concurrency limiter, deadline admission end to end (the shard
-   observes a strictly smaller budget than the client sent), the
+   against a live server socket), deterministic breaker jitter and
+   abandoned probes, deadline admission end to end (the shard observes
+   a strictly smaller budget than the client sent, and a forward to a
+   shard that never answers ends when the budget does), the
    drain/undrain lifecycle on both the server and the router, active
    health probing with auto-eject and rejoin, linear-time scatter
    reassembly, bounded health fan-out over a wedged shard, and the
@@ -397,47 +398,17 @@ let test_breaker_jitter_spread () =
   in
   Alcotest.(check (float 1e-9)) "seeded jitter is deterministic" (same ()) (same ())
 
-(* ---- limiter: AIMD on a fake clock ---- *)
-
-let test_limiter_aimd () =
+(* A half-open probe whose caller gave up is handed back: the next
+   caller probes instead of the circuit staying open for good. *)
+let test_breaker_abandon () =
   let clock = ref 0.0 in
-  let lim =
-    Limiter.create ~min_limit:2.0 ~max_limit:8.0 ~initial:4.0 ~backoff:0.5
-      ~decrease_interval:0.05
-      ~now:(fun () -> !clock)
-      ~target:0.010 ()
-  in
-  (* admission stops exactly at the limit *)
-  for i = 1 to 4 do
-    Alcotest.(check bool) (Printf.sprintf "admit %d" i) true (Limiter.try_acquire lim)
-  done ;
-  Alcotest.(check bool) "fifth is shed" false (Limiter.try_acquire lim) ;
-  Alcotest.(check int) "shed counted" 1 (Limiter.shed lim) ;
-  (* fast completions grow the limit additively *)
-  for _ = 1 to 4 do
-    Limiter.release lim ~latency:0.002 ~ok:true
-  done ;
-  let grown = Limiter.limit lim in
-  if grown <= 4.0 then Alcotest.failf "no additive increase (limit %.2f)" grown ;
-  if grown > 5.5 then Alcotest.failf "increase too aggressive (limit %.2f)" grown ;
-  (* a slow completion cuts multiplicatively *)
-  clock := 1.0 ;
-  Alcotest.(check bool) "admit again" true (Limiter.try_acquire lim) ;
-  Limiter.release lim ~latency:0.200 ~ok:true ;
-  let cut = Limiter.limit lim in
-  if cut >= grown *. 0.6 then
-    Alcotest.failf "no multiplicative decrease (%.2f -> %.2f)" grown cut ;
-  (* decreases are rate-limited inside the interval *)
-  Alcotest.(check bool) "admit" true (Limiter.try_acquire lim) ;
-  Limiter.release lim ~latency:0.200 ~ok:false ;
-  Alcotest.(check (float 1e-9)) "second cut inside interval suppressed" cut
-    (Limiter.limit lim) ;
-  (* and the floor holds *)
-  for k = 1 to 20 do
-    clock := 1.0 +. (0.1 *. float_of_int k) ;
-    if Limiter.try_acquire lim then Limiter.release lim ~latency:0.2 ~ok:false
-  done ;
-  if Limiter.limit lim < 2.0 then Alcotest.fail "limit fell through min_limit"
+  let b = Breaker.create ~threshold:1 ~cooldown:1.0 ~now:(fun () -> !clock) () in
+  Breaker.failure b ;
+  clock := 2.0 ;
+  Alcotest.(check bool) "the probe is let through" true (Breaker.allow b) ;
+  Alcotest.(check bool) "one probe at a time" false (Breaker.allow b) ;
+  Breaker.abandon b ;
+  Alcotest.(check bool) "an abandoned probe is handed back" true (Breaker.allow b)
 
 (* ---- batcher: Expired at dequeue when the budget cannot be met ---- *)
 
@@ -610,19 +581,17 @@ let fake_log f q =
 let fake_deadlines f = fake_log f f.fk_deadlines
 let fake_models f = fake_log f f.fk_models
 
-let router_over ?(probe_interval = 0.05) ?limiter_target_ms ?(handlers = 2)
-    shards =
+let router_over ?(probe_interval = 0.05) shards =
   Router.start
     { (Router.default_config ~listen:"127.0.0.1:0" ~shards) with
-      Router.handlers;
+      Router.handlers = 2;
       block = 4;
       breaker_threshold = 3;
       breaker_cooldown = 0.2;
       probe_interval;
       probe_timeout = 0.5;
       eject_after = 2;
-      rejoin_after = 2;
-      limiter_target_ms
+      rejoin_after = 2
     }
 
 let membership_of addr =
@@ -999,6 +968,49 @@ let test_wedged_full_backlog () =
       await ~what:"the healthy shard still probed" (fun () -> probes () > seen) ;
       check_degraded addr)
 
+(* ---- a forward ends when its request's deadline does ---- *)
+
+(* The owner accepts but never answers: a score with a 300 ms budget
+   is answered deadline_exceeded once the budget is spent. It tries no
+   successor, and the shard is charged no error: a client's short
+   budget says nothing about the shard. *)
+let test_deadline_bounds_forward () =
+  let wedged, port = never_accepting ~backlog:16 in
+  let good = start_fake () in
+  Fun.protect ~finally:(fun () -> stop_fake good)
+  @@ fun () ->
+  let shards = [ ("s0", Printf.sprintf "127.0.0.1:%d" port); ("s1", good.fk_addr) ] in
+  let router = router_over ~probe_interval:0.0 shards in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.close wedged with Unix.Unix_error _ -> ()) ;
+      Router.stop router)
+  @@ fun () ->
+  let ring = Ring.create (List.map fst shards) in
+  let model =
+    List.find (fun m -> Ring.lookup ring m = "s0") (List.init 64 (Printf.sprintf "m%d"))
+  in
+  let req =
+    Protocol.Score
+      { model; target = Protocol.Rows [| [| 0.5; 0.25 |] |]; deadline_ms = Some 300.0 }
+  in
+  let t0 = Unix.gettimeofday () in
+  (match wire_within ~timeout:3.0 (Endpoint.to_string (Router.endpoint router)) req with
+  | Error ("deadline_exceeded", _) -> ()
+  | Ok _ -> Alcotest.fail "a shard that never answers answered"
+  | Error (c, m) -> Alcotest.failf "wrong error [%s] %s" c m) ;
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 1.0 then Alcotest.failf "answered after %.2fs on a 0.3s budget" took ;
+  Alcotest.(check (list string)) "no successor tried" [] (fake_models good) ;
+  let s0 k =
+    Option.bind (Json.member "cluster" (Router.stats router)) (Json.member "shards")
+    |> Fun.flip Option.bind (Json.member "s0")
+    |> Fun.flip Option.bind (Json.member k)
+  in
+  Alcotest.(check (option int)) "no shard error" (Some 0) (Option.bind (s0 "errors") Json.to_int) ;
+  Alcotest.(check (option string)) "breaker closed" (Some "closed")
+    (Option.bind (s0 "breaker") Json.to_str)
+
 (* ---- a stale kept-alive connection gets one fresh retry ---- *)
 
 let test_stale_retry () =
@@ -1038,44 +1050,6 @@ let test_timeout_not_retried () =
   | Error (c, m) -> Alcotest.failf "score: [%s] %s" c m) ;
   Alcotest.(check int) "fresh connections" 1 (Metrics.conns_fresh metrics) ;
   Alcotest.(check int) "reused connections" 1 (Metrics.conns_reused metrics)
-
-(* ---- router limiter: overload sheds with a structured error ---- *)
-
-let test_router_limiter () =
-  let slow = start_fake ~score_delay:0.2 () in
-  Fun.protect ~finally:(fun () -> stop_fake slow)
-  @@ fun () ->
-  let router =
-    router_over ~limiter_target_ms:1.0 ~handlers:16 [ ("s0", slow.fk_addr) ]
-  in
-  Fun.protect ~finally:(fun () -> Router.stop router)
-  @@ fun () ->
-  let addr = Endpoint.to_string (Router.endpoint router) in
-  (* drive enough slow traffic to pull the AIMD limit down, then
-     overload: at least one request must shed with `overloaded` *)
-  let m = Mutex.create () in
-  let sheds = ref 0 and oks = ref 0 in
-  let bump r =
-    Mutex.lock m ;
-    incr r ;
-    Mutex.unlock m
-  in
-  let worker () =
-    for _ = 1 to 4 do
-      match wire addr (score_rows_req ()) with
-      | Ok _ -> bump oks
-      | Error ("overloaded", _) -> bump sheds
-      | Error _ -> ()
-    done
-  in
-  let threads = List.init 16 (fun _ -> Thread.create worker ()) in
-  List.iter Thread.join threads ;
-  if !oks = 0 then Alcotest.fail "limiter shed everything" ;
-  if !sheds = 0 then
-    Alcotest.fail "sustained overload against a 1ms target never shed" ;
-  let stats = Json.to_string (Router.stats router) in
-  if not (contains ~needle:"limiter" stats) then
-    Alcotest.fail "limiter snapshot missing from stats"
 
 (* ---- process-level control chaos (MORPHEUS_BIN) ---- *)
 
@@ -1273,14 +1247,16 @@ let () =
             (test_wire_fuzz routed_fake) ] );
       ( "breaker",
         [ Alcotest.test_case "seeded jitter spreads reopens" `Quick
-            test_breaker_jitter_spread ] );
-      ( "limiter",
-        [ Alcotest.test_case "AIMD on a fake clock" `Quick test_limiter_aimd ] );
+            test_breaker_jitter_spread;
+          Alcotest.test_case "abandoned probe handed back" `Quick
+            test_breaker_abandon ] );
       ( "batcher",
         [ Alcotest.test_case "expired at dequeue" `Quick test_batcher_expired ] );
       ( "deadline",
         [ Alcotest.test_case "budget decrements across the router" `Quick
-            test_deadline_propagation ] );
+            test_deadline_propagation;
+          Alcotest.test_case "forward bounded over a wedged shard" `Quick
+            test_deadline_bounds_forward ] );
       ( "scatter",
         [ Alcotest.test_case "one model version per response" `Quick
             test_scatter_pins_version;
@@ -1301,9 +1277,6 @@ let () =
             test_stale_retry;
           Alcotest.test_case "timed-out connection not retried" `Quick
             test_timeout_not_retried ] );
-      ( "limiter-router",
-        [ Alcotest.test_case "overload sheds structurally" `Quick
-            test_router_limiter ] );
       ( "chaos",
         [ Alcotest.test_case "transport storm, SIGKILL, rejoin, drain" `Quick
             test_control_chaos;
