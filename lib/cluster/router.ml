@@ -189,17 +189,15 @@ let attempt_shard ?timeout t cache shard request =
    the prober is what ejects a wedged one. *)
 let forward_ordered ?due t cache order request =
   let spent () = match due with Some d -> now () >= d | None -> false in
-  let out_of_budget () =
-    Metrics.record_error t.metrics ~code:"deadline_exceeded" ;
+  let out_of_budget =
     Error ("deadline_exceeded", "deadline passed while forwarding to a shard")
   in
   let rec go ~first = function
     | [] ->
-      Metrics.record_error t.metrics ~code:"unavailable" ;
       Error
         ( "unavailable",
           "no shard reachable (all circuits open or connections failing)" )
-    | _ when spent () -> out_of_budget ()
+    | _ when spent () -> out_of_budget
     | shard :: rest ->
       let b = breaker t shard in
       if not (Breaker.allow b) then begin
@@ -219,7 +217,7 @@ let forward_ordered ?due t cache order request =
         match attempt_shard ?timeout t cache shard request with
         | Error ("transport", _) when spent () ->
           Breaker.abandon b ;
-          out_of_budget ()
+          out_of_budget
         | Error ("transport", _) ->
           Breaker.failure b ;
           note_shard_error t shard ;
@@ -315,9 +313,7 @@ let scatter_score ?due t cache ~model ~dataset ~ids =
         end)
       groups ;
     (match !failed with
-    | Some (code, message) ->
-      Metrics.record_error t.metrics ~code ;
-      Protocol.error ~code ~message
+    | Some (code, message) -> Protocol.error ~code ~message
     | None ->
       Protocol.ok
         [ ("model", Json.Str (Option.value !model_id ~default:""));
@@ -612,9 +608,7 @@ let admit t ~arrived req =
 
 let handle_drain t shard =
   match List.assoc_opt shard t.members with
-  | None ->
-    Metrics.record_error t.metrics ~code:"bad_request" ;
-    Protocol.error ~code:"bad_request" ~message:("unknown shard " ^ shard)
+  | None -> Protocol.error ~code:"bad_request" ~message:("unknown shard " ^ shard)
   | Some m ->
     Analysis.Sync.lock t.mem_m ;
     let refused = m.ms_in_ring && in_ring_count_locked t <= 1 in
@@ -626,18 +620,14 @@ let handle_drain t shard =
       m.ms_oks <- 0
     end ;
     Analysis.Sync.unlock t.mem_m ;
-    if refused then begin
-      Metrics.record_error t.metrics ~code:"rejected" ;
+    if refused then
       Protocol.error ~code:"rejected"
         ~message:("cannot drain the last in-ring shard " ^ shard)
-    end
     else Protocol.ok [ ("shard", Json.Str shard); ("draining", Json.Bool true) ]
 
 let handle_undrain t shard =
   match List.assoc_opt shard t.members with
-  | None ->
-    Metrics.record_error t.metrics ~code:"bad_request" ;
-    Protocol.error ~code:"bad_request" ~message:("unknown shard " ^ shard)
+  | None -> Protocol.error ~code:"bad_request" ~message:("unknown shard " ^ shard)
   | Some m ->
     Analysis.Sync.lock t.mem_m ;
     join_ring_locked t m ;
@@ -649,10 +639,15 @@ let handle_undrain t shard =
     Protocol.ok [ ("shard", Json.Str shard); ("draining", Json.Bool false) ]
 
 let handle_request t cache ~arrived req =
+  (* the one place a dispatched request's outcome is counted: an ok
+     reply as a request with its latency, any other reply as one error
+     under its own code *)
   let timed op f =
     let t0 = now () in
     let r = f () in
-    Metrics.record t.metrics ~op ~seconds:(now () -. t0) ;
+    (match Protocol.response_result r with
+    | Ok _ -> Metrics.record t.metrics ~op ~seconds:(now () -. t0)
+    | Error (code, _) -> Metrics.record_error t.metrics ~code) ;
     r
   in
   match admit t ~arrived req with

@@ -106,6 +106,9 @@ val wait : t -> unit
 val stop : t -> unit
 
 val metrics : t -> Morpheus_serve.Metrics.t
+(** Each answered request counts once: an [ok] reply as a request of
+    its op with its latency, any other reply as one error under the
+    reply's code. *)
 
 val stats : t -> Morpheus_serve.Json.t
 (** The router's [stats] payload: metrics snapshot plus the [cluster]

@@ -1,5 +1,5 @@
-(* Temporary directories, loopback ports and substring search for the
-   serving, chaos, cluster and control suites. *)
+(* Temporary directories, loopback ports, substring search and polling
+   for the serving, chaos, cluster and control suites. *)
 
 let rec rm_rf path =
   if Sys.file_exists path then
@@ -28,6 +28,23 @@ let contains ~needle hay =
   let ln = String.length needle and lh = String.length hay in
   let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
   go 0
+
+(* Poll [cond] every 10 ms; fail the test after [timeout] seconds,
+   running [on_timeout] first. *)
+let await ?(timeout = 10.0) ?on_timeout ~what cond =
+  let deadline = Unix.gettimeofday () +. timeout in
+  let rec go () =
+    if cond () then ()
+    else if Unix.gettimeofday () > deadline then begin
+      (match on_timeout with Some f -> f () | None -> ()) ;
+      Alcotest.failf "timed out waiting for %s" what
+    end
+    else begin
+      Unix.sleepf 0.01 ;
+      go ()
+    end
+  in
+  go ()
 
 (* A loopback TCP port that was free a moment ago. *)
 let free_port () =

@@ -26,21 +26,6 @@ let () = Sys.set_signal Sys.sigpipe Sys.Signal_ignore
 
 let wire addr req = Client.with_client ~socket:addr (fun c -> Client.call c req)
 
-let await ?(timeout = 10.0) ?on_timeout ~what cond =
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec go () =
-    if cond () then ()
-    else if Unix.gettimeofday () > deadline then begin
-      (match on_timeout with Some f -> f () | None -> ()) ;
-      Alcotest.failf "timed out waiting for %s" what
-    end
-    else begin
-      Thread.delay 0.01 ;
-      go ()
-    end
-  in
-  go ()
-
 (* ---- endpoint strings: every malformed form is a structured error ---- *)
 
 let test_endpoint_edges () =
@@ -973,7 +958,8 @@ let test_wedged_full_backlog () =
 (* The owner accepts but never answers: a score with a 300 ms budget
    is answered deadline_exceeded once the budget is spent. It tries no
    successor, and the shard is charged no error: a client's short
-   budget says nothing about the shard. *)
+   budget says nothing about the shard. The router counts each failed
+   reply once, as an error and not as a request, scattered or not. *)
 let test_deadline_bounds_forward () =
   let wedged, port = never_accepting ~backlog:16 in
   let good = start_fake () in
@@ -1009,7 +995,27 @@ let test_deadline_bounds_forward () =
   in
   Alcotest.(check (option int)) "no shard error" (Some 0) (Option.bind (s0 "errors") Json.to_int) ;
   Alcotest.(check (option string)) "breaker closed" (Some "closed")
-    (Option.bind (s0 "breaker") Json.to_str)
+    (Option.bind (s0 "breaker") Json.to_str) ;
+  let metrics = Router.metrics router in
+  Alcotest.(check int) "a failed reply is no request" 0 (Metrics.requests metrics) ;
+  Alcotest.(check int) "one error" 1 (Metrics.errors metrics) ;
+  (* 64 ids in blocks of 4 land on both shards *)
+  let scattered =
+    Protocol.Score
+      { model;
+        target = Protocol.Dataset { dataset = "/ds"; ids = Array.init 64 Fun.id };
+        deadline_ms = Some 300.0
+      }
+  in
+  (match wire_within ~timeout:3.0 (Endpoint.to_string (Router.endpoint router)) scattered with
+  | Error ("deadline_exceeded", _) -> ()
+  | Ok _ -> Alcotest.fail "a scatter over a shard that never answers answered"
+  | Error (c, m) -> Alcotest.failf "scatter: wrong error [%s] %s" c m) ;
+  Alcotest.(check (option int)) "the request was scattered" (Some 1)
+    (Option.bind (Json.member "cluster" (Router.stats router)) (Json.member "scattered")
+    |> Fun.flip Option.bind Json.to_int) ;
+  Alcotest.(check int) "a failed scatter is one more error" 2 (Metrics.errors metrics) ;
+  Alcotest.(check int) "still no request" 0 (Metrics.requests metrics)
 
 (* ---- a stale kept-alive connection gets one fresh retry ---- *)
 

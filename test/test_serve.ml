@@ -148,56 +148,71 @@ let test_batch_equals_single_bitwise () =
         ids)
     (all_artifacts d)
 
-(* the same guarantee end to end through the batcher, under concurrency *)
+(* the same guarantee end to end through the batcher, under concurrency.
+   The executor's first call holds the batching thread on a gate until
+   the other 23 requests are queued, so the batches that follow are
+   fixed: all 23 at max_batch 64, 8 + 8 + 7 at max_batch 8. *)
 let test_batcher_coalesced_equals_alone () =
   let t = pkfk ~seed:32 () in
   let n, d = Normalized.dims t in
   let artifact = List.hd (all_artifacts d) in
-  let metrics = Metrics.create () in
-  let exec () payloads =
-    let all = Array.concat (Array.to_list payloads) in
-    let preds = Artifact.score_normalized artifact (Normalized.select_rows t all) in
-    let off = ref 0 in
-    Array.map
-      (fun ids ->
-        let r = Array.sub preds !off (Array.length ids) in
-        off := !off + Array.length ids ;
-        Ok r)
-      payloads
-  in
-  let b =
-    Batcher.create ~max_batch:64 ~max_wait:5e-3 ~metrics ~size:Array.length
-      ~exec ()
-  in
   let ids = Array.init 24 (fun i -> (i * 7) mod n) in
-  let results = Array.make (Array.length ids) None in
-  let threads =
-    Array.mapi
-      (fun j id ->
-        Thread.create
-          (fun () -> results.(j) <- Some (Batcher.submit b () [| id |]))
-          ())
-      ids
-  in
-  Array.iter Thread.join threads ;
-  Batcher.stop b ;
-  Array.iteri
-    (fun j id ->
-      let alone =
-        (Artifact.score_normalized artifact (Normalized.select_rows t [| id |])).(0)
+  let run ~max_batch ~expect =
+    let metrics = Metrics.create () in
+    let entered = Atomic.make false and gate = Atomic.make false in
+    let sizes = ref [] in
+    let exec () payloads =
+      if not (Atomic.get entered) then begin
+        Atomic.set entered true ;
+        while not (Atomic.get gate) do
+          Thread.delay 1e-3
+        done
+      end ;
+      sizes := Array.length payloads :: !sizes ;
+      let all = Array.concat (Array.to_list payloads) in
+      let preds =
+        Artifact.score_normalized artifact (Normalized.select_rows t all)
       in
-      match results.(j) with
-      | Some (Ok r) ->
-        if r.(0) <> alone then
-          Alcotest.failf "row %d: %h batched vs %h alone" id r.(0) alone
-      | Some (Error _) -> Alcotest.failf "row %d: batcher error" id
-      | None -> Alcotest.failf "row %d: no result" id)
-    ids ;
-  Alcotest.(check bool) "requests were coalesced" true
-    (let j = Metrics.snapshot metrics in
-     match Option.bind (Json.member "batches" j) (Json.member "count") with
-     | Some c -> Option.value ~default:0 (Json.to_int c) < Array.length ids
-     | None -> false)
+      let off = ref 0 in
+      Array.map
+        (fun ids ->
+          let r = Array.sub preds !off (Array.length ids) in
+          off := !off + Array.length ids ;
+          Ok r)
+        payloads
+    in
+    let b = Batcher.create ~max_batch ~metrics ~size:Array.length ~exec () in
+    let results = Array.make (Array.length ids) None in
+    let submit j =
+      Thread.create
+        (fun () -> results.(j) <- Some (Batcher.submit b () [| ids.(j) |]))
+        ()
+    in
+    let first = submit 0 in
+    await ~what:"the executor's first call" (fun () -> Atomic.get entered) ;
+    let rest = List.init (Array.length ids - 1) (fun j -> submit (j + 1)) in
+    await ~what:"23 pending requests" (fun () -> Batcher.pending b = 23) ;
+    Atomic.set gate true ;
+    List.iter Thread.join (first :: rest) ;
+    Batcher.stop b ;
+    Array.iteri
+      (fun j id ->
+        let alone =
+          (Artifact.score_normalized artifact (Normalized.select_rows t [| id |])).(0)
+        in
+        match results.(j) with
+        | Some (Ok r) ->
+          if r.(0) <> alone then
+            Alcotest.failf "row %d: %h batched vs %h alone" id r.(0) alone
+        | Some (Error _) -> Alcotest.failf "row %d: batcher error" id
+        | None -> Alcotest.failf "row %d: no result" id)
+      ids ;
+    Alcotest.(check (list int))
+      (Printf.sprintf "batch sizes at max_batch %d" max_batch)
+      expect (List.rev !sizes)
+  in
+  run ~max_batch:64 ~expect:[ 1; 23 ] ;
+  run ~max_batch:8 ~expect:[ 1; 8; 8; 7 ]
 
 (* ---- deadline + shedding, with an injected slow executor ---- *)
 
