@@ -1,7 +1,7 @@
 (* Transport-fault bench: closed-loop routed scoring throughput while
-   the shards' transport layer misbehaves, and while clients outnumber
-   the router's handlers. Two shard server processes and one router
-   run from the CLI binary (MORPHEUS_BIN); each point arms transport
+   the shards' transport layer misbehaves, and under 16 clients. Two
+   shard server processes and one router run from the CLI binary
+   (MORPHEUS_BIN); each point arms transport
    fault points in the *shard* processes via MORPHEUS_FAULTS in their
    environment:
    - none, read, read+torn: 0, 1 or 2 byte-level faults on both
@@ -11,9 +11,10 @@
      (`endpoint.stall`). Its health probes still answer well within
      the router's probe timeout, so the point measures a slow owner,
      not failover;
-   - overload: no faults, 16 clients against the router's 4 handlers.
-     A client's latency then includes its wait for a handler, which
-     the router's own `score_ids` mean (from its `stats`) leaves out.
+   - overload: no faults, 16 clients. A client's latency then includes
+     its wait for the shards' batchers and the router's CPU, which the
+     router's own `score_ids` mean (from its `stats`) partly leaves
+     out.
    A point whose faults cannot fail a probe (none, slow-owner,
    overload) fails unless every shard is still active at the end of
    each of its runs.
@@ -69,18 +70,7 @@ let policy =
     retry_codes = "unavailable" :: "rejected" :: Client.default_retry.retry_codes
   }
 
-(* The host's CPU steal ticks so far (the 8th value of /proc/stat's
-   `cpu` line), or [None] where that file is unreadable. *)
-let steal_ticks () =
-  match In_channel.with_open_text "/proc/stat" In_channel.input_line with
-  | Some line -> (
-    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
-    | "cpu" :: fields when List.length fields >= 8 ->
-      int_of_string_opt (List.nth fields 7)
-    | _ -> None)
-  | None | (exception Sys_error _) -> None
-
-(* The router's mean time inside a handler per score_ids request. *)
+(* The router's mean time handling a score_ids request. *)
 let router_score_mean router =
   match Client.call_once ~timeout:5.0 ~socket:router Protocol.Stats with
   | Ok j ->
@@ -136,18 +126,11 @@ let run_once ~bin (fx : Fleet.fixture) ~window p =
 
 (* [p]'s runs, and the steal ticks over them ([None] if unreadable). *)
 let measure ~bin fx ~window ~runs p =
-  let before = steal_ticks () in
-  let results = List.init runs (fun _ -> run_once ~bin fx ~window p) in
-  let steal =
-    match (before, steal_ticks ()) with
-    | Some a, Some b -> Some (b - a)
-    | _ -> None
+  let results, steal =
+    Harness.repeat runs (fun () -> run_once ~bin fx ~window p)
   in
   (p, results, steal)
 
-let median xs = Timing.percentile 50.0 (Array.of_list xs)
-let lo xs = List.fold_left Float.min Float.infinity xs
-let hi xs = List.fold_left Float.max Float.neg_infinity xs
 let exhausted rs = List.fold_left (fun n r -> n + r.exhausted) 0 rs
 
 let run cfg =
@@ -164,10 +147,11 @@ let run cfg =
     @@ fun root ->
     let fx = Fleet.fixture ~root ~rows in
     Printf.printf
-      "dataset: %d rows; 2 shards, router with %d handlers, %gs window, %d \
-       runs per point; host cores online: %d\n"
-      rows Fleet.router_handlers window runs Harness.cores_online ;
+      "dataset: %d rows; 2 shards and a router, %gs window, %d runs per \
+       point; host cores online: %d\n"
+      rows window runs Harness.cores_online ;
     let results = List.map (measure ~bin fx ~window ~runs) points in
+    let open Harness in
     let steal_cell = function Some n -> string_of_int n | None -> "-" in
     Printf.printf "\n%-11s %5s %7s %18s %9s %20s %10s %9s %6s\n" "faults"
       "armed" "clients" "req/s (min-max)" "p50" "p99 (min-max)" "router" "exhausted"
@@ -177,22 +161,16 @@ let run cfg =
         let rate = List.map (fun r -> r.req_per_s) rs and p99 = List.map (fun r -> r.p99) rs in
         Printf.printf "%-11s %5d %7d %6.0f (%4.0f-%4.0f) %9s %8s (%s-%s) %10s %9d %6s\n"
           p.label p.armed p.clients (median rate) (lo rate) (hi rate)
-          (Harness.ts (median (List.map (fun r -> r.p50) rs)))
-          (Harness.ts (median p99)) (Harness.ts (lo p99)) (Harness.ts (hi p99))
-          (Harness.ts (median (List.map (fun r -> r.router_mean) rs)))
+          (ts (median (List.map (fun r -> r.p50) rs)))
+          (ts (median p99)) (ts (lo p99)) (ts (hi p99))
+          (ts (median (List.map (fun r -> r.router_mean) rs)))
           (exhausted rs) (steal_cell steal))
       results ;
-    let open Harness in
-    let spread f rs =
-      let xs = List.map f rs in
-      Json.Obj [ ("median", num (median xs)); ("min", num (lo xs)); ("max", num (hi xs)) ]
-    in
     write_report cfg "BENCH_faults.json"
       [ ( "setting",
           Json.Obj
-            [ ("rows", int rows); ("shards", int 2);
-              ("router_handlers", int Fleet.router_handlers);
-              ("window_s", num window); ("runs", int runs);
+            [ ("rows", int rows); ("shards", int 2); ("window_s", num window);
+              ("runs", int runs);
               ("ids_per_request", int 8); ("block", int 8);
               ("retry_attempts", int policy.attempts)
             ] );
@@ -211,8 +189,7 @@ let run cfg =
                         ("p99", spread (fun r -> r.p99) rs)
                       ] );
                   ("router_score_ids_mean_s", spread (fun r -> r.router_mean) rs);
-                  ( "steal_ticks",
-                    match steal with Some n -> int n | None -> Json.Null )
+                  ("steal_ticks", steal_json steal)
                 ])
             results )
       ]

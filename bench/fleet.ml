@@ -73,16 +73,6 @@ let fixture ~root ~rows =
   in
   { rows; dataset; registry; model = entry.Registry.id }
 
-(* The router's handler threads, as at the CLI default. *)
-let router_handlers = 4
-
-(* Each of the router's 4 handlers keeps one connection per shard, and
-   a shard gives every connection a handler of its own. With 4 shard
-   handlers all of them are held and health probes queue until their
-   timeout, so the router marks healthy shards suspect; 2 spare
-   handlers keep the probes answered. *)
-let shard_handlers = "6"
-
 (* [f router] with [shards] serve processes ([env i] added to shard
    [i]'s environment) behind one router, once every process answers
    health checks. Every process is reaped on the way out. *)
@@ -99,15 +89,13 @@ let with_fleet ~bin ?(env = fun _ -> []) fx ~shards f =
   List.iteri
     (fun i listen ->
       start ~env:(env i)
-        [ "serve"; "--registry"; fx.registry; "--listen"; listen; "--handlers";
-          shard_handlers; "--max-wait-ms"; "1"
-        ])
+        [ "serve"; "--registry"; fx.registry; "--listen"; listen;
+          "--max-wait-ms"; "1" ])
     shard_addrs ;
   List.iter await_healthy shard_addrs ;
   let router = addr () in
   start
-    ([ "route"; "--listen"; router; "--block"; "8"; "--handlers";
-       string_of_int router_handlers ]
+    ([ "route"; "--listen"; router; "--block"; "8" ]
     @ List.concat
         (List.mapi
            (fun i a -> [ "--shard"; Printf.sprintf "shard%d=%s" i a ])

@@ -123,6 +123,41 @@ let write_report cfg path fields =
     Printf.printf "\nwrote %s\n%!" path
   end
 
+(* The host's CPU steal ticks so far (the 8th value of /proc/stat's
+   `cpu` line), or [None] where that file is unreadable: on a shared VM
+   the spread between runs follows steal more than code. *)
+let steal_ticks () =
+  match In_channel.with_open_text "/proc/stat" In_channel.input_line with
+  | Some line -> (
+    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+    | "cpu" :: fields when List.length fields >= 8 ->
+      int_of_string_opt (List.nth fields 7)
+    | _ -> None)
+  | None | (exception Sys_error _) -> None
+
+(* [runs] calls of [f], and the steal ticks over them. *)
+let repeat runs f =
+  let before = steal_ticks () in
+  let results = List.init runs (fun _ -> f ()) in
+  let steal =
+    match (before, steal_ticks ()) with
+    | Some a, Some b -> Some (b - a)
+    | _ -> None
+  in
+  (results, steal)
+
+let steal_json = function Some n -> int n | None -> Json.Null
+
+let median xs = Timing.percentile 50.0 (Array.of_list xs)
+let lo xs = List.fold_left Float.min Float.infinity xs
+let hi xs = List.fold_left Float.max Float.neg_infinity xs
+
+(* The median and min–max over runs of [f]. *)
+let spread f rs =
+  let xs = List.map f rs in
+  Json.Obj
+    [ ("median", num (median xs)); ("min", num (lo xs)); ("max", num (hi xs)) ]
+
 (* ---- the serving benches' temp dirs and clients ---- *)
 
 let rec rm_rf path =

@@ -597,7 +597,7 @@ let check_endpoint ~cmd s =
     exit 2
 
 let serve registry socket listen threads max_batch max_wait_ms queue_bound
-    handlers cache_capacity deadline_ms breaker_threshold breaker_cooldown_ms
+    cache_capacity deadline_ms breaker_threshold breaker_cooldown_ms
     lockdep replicate_from replicate_interval_ms drain_on =
   apply_threads threads ;
   if lockdep then Analysis.Sync.enable_lockdep () ;
@@ -609,10 +609,9 @@ let serve registry socket listen threads max_batch max_wait_ms queue_bound
       Fmt.epr "morpheus serve: --drain-on only supports SIGTERM, got %S@." other ;
       exit 2
   in
-  if max_batch < 1 || queue_bound < 1 || handlers < 1 || cache_capacity < 1
-     || max_wait_ms < 0.0
+  if max_batch < 1 || queue_bound < 1 || cache_capacity < 1 || max_wait_ms < 0.0
   then begin
-    Fmt.epr "morpheus serve: batch/queue/handler/cache sizes must be positive@." ;
+    Fmt.epr "morpheus serve: batch/queue/cache sizes must be positive@." ;
     exit 2
   end ;
   if breaker_threshold < 1 || breaker_cooldown_ms < 0.0 then begin
@@ -651,7 +650,6 @@ let serve registry socket listen threads max_batch max_wait_ms queue_bound
           max_batch;
           max_wait = max_wait_ms /. 1e3;
           queue_bound;
-          handlers;
           cache_capacity;
           default_deadline_ms = deadline_ms;
           breaker_threshold;
@@ -691,10 +689,6 @@ let serve_cmd =
     Arg.(value & opt int 1024 & info [ "queue-bound" ]
            ~doc:"Pending requests before overload shedding.")
   in
-  let handlers =
-    Arg.(value & opt int 4 & info [ "handlers" ]
-           ~doc:"Connection-handler threads.")
-  in
   let cache =
     Arg.(value & opt int 4 & info [ "cache" ]
            ~doc:"Normalized datasets kept in the LRU cache.")
@@ -730,13 +724,13 @@ let serve_cmd =
        ~doc:"Serve models from a registry over a Unix domain socket or TCP \
              endpoint with micro-batched factorized scoring.")
     Term.(const serve $ registry_arg $ socket $ listen $ threads_arg
-          $ max_batch $ max_wait $ queue_bound $ handlers $ cache $ deadline
+          $ max_batch $ max_wait $ queue_bound $ cache $ deadline
           $ breaker_threshold $ breaker_cooldown $ lockdep $ replicate_from
           $ replicate_interval $ drain_on)
 
 (* ---- route: the consistent-hash router over shard servers ---- *)
 
-let route listen shards vnodes block handlers breaker_threshold
+let route listen shards vnodes block breaker_threshold
     breaker_cooldown_ms lockdep probe_interval_ms eject_after rejoin_after =
   if lockdep then Analysis.Sync.enable_lockdep () ;
   let parse_shard spec =
@@ -755,10 +749,10 @@ let route listen shards vnodes block handlers breaker_threshold
   end ;
   check_endpoint ~cmd:"route" listen ;
   List.iter (fun (_, ep) -> check_endpoint ~cmd:"route" ep) shards ;
-  if vnodes < 1 || block < 1 || handlers < 1 || breaker_threshold < 1
+  if vnodes < 1 || block < 1 || breaker_threshold < 1
      || breaker_cooldown_ms < 0.0
   then begin
-    Fmt.epr "morpheus route: vnodes/block/handlers/breaker must be positive@." ;
+    Fmt.epr "morpheus route: vnodes/block/breaker must be positive@." ;
     exit 2
   end ;
   if eject_after < 1 || rejoin_after < 1 then begin
@@ -771,7 +765,6 @@ let route listen shards vnodes block handlers breaker_threshold
       shards;
       vnodes;
       block;
-      handlers;
       breaker_threshold;
       breaker_cooldown = breaker_cooldown_ms /. 1e3;
       probe_interval = probe_interval_ms /. 1e3;
@@ -802,10 +795,6 @@ let route_cmd =
     Arg.(value & opt int 64 & info [ "block" ]
            ~doc:"Row ids per placement block for scatter-gathered \
                  score_ids requests.")
-  in
-  let handlers =
-    Arg.(value & opt int 4 & info [ "handlers" ]
-           ~doc:"Connection-handler threads.")
   in
   let breaker_threshold =
     Arg.(value & opt int 3 & info [ "breaker-threshold" ]
@@ -843,9 +832,9 @@ let route_cmd =
              per-shard circuit breakers, failover, \
              deadline-aware admission, and scatter-gather for id sets \
              that span shards.")
-    Term.(const route $ listen $ shards $ vnodes $ block $ handlers
-          $ breaker_threshold $ breaker_cooldown $ lockdep $ probe_interval
-          $ eject_after $ rejoin_after)
+    Term.(const route $ listen $ shards $ vnodes $ block $ breaker_threshold
+          $ breaker_cooldown $ lockdep $ probe_interval $ eject_after
+          $ rejoin_after)
 
 (* ---- score: client for the scoring server ---- *)
 

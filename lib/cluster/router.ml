@@ -1,11 +1,11 @@
 (* The router process. Data path of a routed score request:
 
-     Listener handler thread: read frame → deadline admission
+     Listener connection thread: read frame → deadline admission
        (remaining budget after queue time, shed with `expired` if
        overdrawn) → routing key from (model, dataset[, id blocks]) →
        owner shard(s) via the ring
-     forward: per-shard cached connection (kept alive across
-       requests), circuit breaker per shard, failover to the next
+     forward: a kept-alive connection from the shard's idle set,
+       circuit breaker per shard, failover to the next
        distinct shard in ring order on transport failure; a request
        with a deadline is bounded by the budget it has left
      scatter-gather: an id-set spanning shards is split per owner,
@@ -22,9 +22,8 @@
    failed request.
 
    The router runs no LA kernels and touches no model or dataset
-   state, so handler threads are fully independent; each owns its
-   per-shard connection cache (the Listener handler's per-thread
-   state). *)
+   state; connection threads share only the counters, the membership
+   and each shard's idle connections. *)
 
 open Morpheus_serve
 
@@ -33,7 +32,6 @@ type config = {
   shards : (string * string) list;
   vnodes : int;
   block : int;
-  handlers : int;
   breaker_threshold : int;
   breaker_cooldown : float;
   probe_interval : float;
@@ -47,7 +45,6 @@ let default_config ~listen ~shards =
     shards;
     vnodes = Ring.default_vnodes;
     block = 64;
-    handlers = 4;
     breaker_threshold = 3;
     breaker_cooldown = 1.0;
     probe_interval = 0.25;
@@ -71,7 +68,8 @@ let state_name = function
   | Ejected -> "ejected"
 
 (* One record per configured shard. The list itself is immutable after
-   start; the mutable fields (and the ring) are guarded by [mem_m]. *)
+   start; [ms_idle] is guarded by [idle_m], the other mutable fields
+   (and the ring) by [mem_m]. *)
 type member = {
   ms_name : string;
   ms_endpoint : Endpoint.t;
@@ -84,6 +82,7 @@ type member = {
   mutable ms_ewma : float;  (* probe latency ewma, seconds *)
   mutable ms_probes : int;
   mutable ms_ejects : int;
+  mutable ms_idle : Client.t list;  (* kept-alive, no call in flight *)
 }
 
 type t = {
@@ -91,6 +90,7 @@ type t = {
   metrics : Metrics.t;
   members : (string * member) list;
   mem_m : Analysis.Sync.t;  (* guards ring + mutable member fields *)
+  idle_m : Analysis.Sync.t;  (* guards every [ms_idle]; never held across I/O *)
   mutable ring : Ring.t;
   listener : Listener.t;
   (* cluster counters *)
@@ -110,7 +110,6 @@ type t = {
 let now () = Clock.wall ()
 let member t shard = List.assoc shard t.members
 let breaker t shard = (member t shard).ms_breaker
-let endpoint_of t shard = (member t shard).ms_endpoint
 
 let count t f = Analysis.Sync.with_lock t.state_m f
 
@@ -152,29 +151,36 @@ let join_ring_locked t m =
     m.ms_in_ring <- true
   end
 
-(* ---- forwarding over cached connections ---- *)
+(* ---- forwarding over kept-alive connections ---- *)
 
-(* Each handler thread owns one of these: shard name → a connection
-   slot kept alive across requests ({!Client.call_kept}). *)
-type cache = (string, Client.t option ref) Hashtbl.t
+let take_idle t m =
+  Analysis.Sync.with_lock t.idle_m (fun () ->
+      match m.ms_idle with
+      | c :: rest ->
+        m.ms_idle <- rest ;
+        Some c
+      | [] -> None)
 
-let slot cache shard =
-  match Hashtbl.find_opt cache shard with
-  | Some s -> s
-  | None ->
-    let s = ref None in
-    Hashtbl.replace cache shard s ;
-    s
+let give_back t m c =
+  Analysis.Sync.with_lock t.idle_m (fun () -> m.ms_idle <- c :: m.ms_idle)
 
-(* One attempt against one shard over the handler's kept-alive
-   connection; [timeout] bounds this call's reads and writes. *)
-let attempt_shard ?timeout t cache shard request =
+(* One attempt against one shard, over a connection taken from its
+   idle set (or a fresh one) and handed back if the shard answered, so
+   shard connections scale with forwards in flight; [timeout] bounds
+   this call's reads and writes. *)
+let attempt_shard ?timeout t shard request =
   match Fault.point "router.forward" with
   | exception Fault.Injected p -> Error ("transport", "injected fault at " ^ p)
   | () ->
-    Client.call_kept ~metrics:t.metrics ?timeout
-      ~socket:(Endpoint.to_string (endpoint_of t shard))
-      (slot cache shard) request
+    let m = member t shard in
+    let slot = ref (take_idle t m) in
+    let r =
+      Client.call_kept ~metrics:t.metrics ?timeout
+        ~socket:(Endpoint.to_string m.ms_endpoint) slot request
+    in
+    (* a transport failure emptied the slot *)
+    Option.iter (give_back t m) !slot ;
+    r
 
 (* Forward a request along a shard order (owner first, then the ring's
    failover successors). A shard answering — even with a protocol
@@ -187,7 +193,7 @@ let attempt_shard ?timeout t cache shard request =
    [deadline_exceeded], tries no successor and records no breaker
    failure: a client's short budget says nothing about the shard, and
    the prober is what ejects a wedged one. *)
-let forward_ordered ?due t cache order request =
+let forward_ordered ?due t order request =
   let spent () = match due with Some d -> now () >= d | None -> false in
   let out_of_budget =
     Error ("deadline_exceeded", "deadline passed while forwarding to a shard")
@@ -214,7 +220,7 @@ let forward_ordered ?due t cache order request =
             (Some left, Protocol.Score { s with deadline_ms = Some (left *. 1e3) })
           | _ -> (None, request)
         in
-        match attempt_shard ?timeout t cache shard request with
+        match attempt_shard ?timeout t shard request with
         | Error ("transport", _) when spent () ->
           Breaker.abandon b ;
           out_of_budget
@@ -230,9 +236,9 @@ let forward_ordered ?due t cache order request =
   in
   go ~first:true order
 
-let forward_by_key ?due t cache key request =
+let forward_by_key ?due t key request =
   count t (fun () -> t.forwarded <- t.forwarded + 1) ;
-  forward_ordered ?due t cache (Ring.successors (ring_now t) key) request
+  forward_ordered ?due t (Ring.successors (ring_now t) key) request
 
 let render = function
   | Ok j -> j
@@ -253,7 +259,7 @@ let block_key t ~model ~dataset id =
    into one response. The pieces share one [due]. Any failing piece
    fails the whole request with that piece's error — matching a single
    server, which also answers a whole score request with one error. *)
-let scatter_score ?due t cache ~model ~dataset ~ids =
+let scatter_score ?due t ~model ~dataset ~ids =
   let ring = ring_now t in
   let owners = Array.map (fun id -> Ring.lookup ring (block_key t ~model ~dataset id)) ids in
   let groups = ref [] in
@@ -274,7 +280,7 @@ let scatter_score ?due t cache ~model ~dataset ~ids =
       | [] -> score_key ~model ~dataset
     in
     render
-      (forward_by_key ?due t cache key
+      (forward_by_key ?due t key
          (Protocol.Score
             { model; target = Protocol.Dataset { dataset; ids }; deadline_ms = None }))
   | _ ->
@@ -294,7 +300,7 @@ let scatter_score ?due t cache ~model ~dataset ~ids =
                  (Ring.successors ring (score_key ~model ~dataset))
           in
           match
-            forward_ordered ?due t cache order
+            forward_ordered ?due t order
               (Protocol.Score
                  { model = Option.value !model_id ~default:model;
                    target = Protocol.Dataset { dataset; ids = sub_ids };
@@ -429,18 +435,18 @@ let prober t =
 (* ---- health / stats aggregation ---- *)
 
 (* Bounded like a probe: a shard that accepts but never answers reads
-   as "down" instead of pinning this handler (and the health or stats
-   request that asked) forever. *)
-let shard_health t cache shard =
-  match attempt_shard ~timeout:t.cfg.probe_timeout t cache shard Protocol.Health with
+   as "down" instead of pinning this connection's thread (and the
+   health or stats request that asked) forever. *)
+let shard_health t shard =
+  match attempt_shard ~timeout:t.cfg.probe_timeout t shard Protocol.Health with
   | Ok j -> (
     match Option.bind (Json.member "status" j) Json.to_str with
     | Some s -> s
     | None -> "degraded")
   | Error _ -> "down"
 
-let handle_health t cache =
-  let statuses = List.map (fun (s, _) -> (s, shard_health t cache s)) t.cfg.shards in
+let handle_health t =
+  let statuses = List.map (fun (s, _) -> (s, shard_health t s)) t.cfg.shards in
   let status =
     if List.for_all (fun (_, s) -> s = "ok") statuses then "ok" else "degraded"
   in
@@ -638,7 +644,7 @@ let handle_undrain t shard =
     Analysis.Sync.unlock t.mem_m ;
     Protocol.ok [ ("shard", Json.Str shard); ("draining", Json.Bool false) ]
 
-let handle_request t cache ~arrived req =
+let handle_request t ~arrived req =
   (* the one place a dispatched request's outcome is counted: an ok
      reply as a request with its latency, any other reply as one error
      under its own code *)
@@ -663,9 +669,9 @@ let handle_request t cache ~arrived req =
       Protocol.ok [ ("stopping", Json.Bool true) ]
     | Protocol.Stats ->
       timed "stats" (fun () ->
-          let health = List.map (fun (s, _) -> (s, shard_health t cache s)) t.cfg.shards in
+          let health = List.map (fun (s, _) -> (s, shard_health t s)) t.cfg.shards in
           Protocol.ok [ ("stats", stats_payload ~health t) ])
-    | Protocol.Health -> timed "health" (fun () -> handle_health t cache)
+    | Protocol.Health -> timed "health" (fun () -> handle_health t)
     | Protocol.Membership ->
       timed "membership" (fun () -> membership_payload t)
     | Protocol.Drain None ->
@@ -681,37 +687,25 @@ let handle_request t cache ~arrived req =
       timed "undrain" (fun () -> handle_undrain t shard)
     | Protocol.List_models ->
       timed "list" (fun () ->
-          render (forward_ordered t cache (Ring.successors (ring_now t) "list") req))
+          render (forward_ordered t (Ring.successors (ring_now t) "list") req))
     | Protocol.Score { model; target = Protocol.Rows _; _ } ->
-      timed "score_rows" (fun () -> render (forward_by_key ?due t cache model req))
+      timed "score_rows" (fun () -> render (forward_by_key ?due t model req))
     | Protocol.Score { model; target = Protocol.Dataset_where { dataset; _ }; _ } ->
       timed "score_where" (fun () ->
-          render (forward_by_key ?due t cache (score_key ~model ~dataset) req))
+          render (forward_by_key ?due t (score_key ~model ~dataset) req))
     | Protocol.Score { model; target = Protocol.Dataset { dataset; ids }; _ } ->
-      timed "score_ids" (fun () -> scatter_score ?due t cache ~model ~dataset ~ids))
-
-(* One per Listener handler thread: the shard-connection cache lives
-   as long as the thread (or until a crash replaces the handler). *)
-let handler t () =
-  let cache : cache = Hashtbl.create 8 in
-  { Listener.handle = handle_request t cache;
-    close =
-      (fun () ->
-        Hashtbl.iter (fun _ s -> Client.drop s) cache ;
-        Hashtbl.reset cache)
-  }
+      timed "score_ids" (fun () -> scatter_score ?due t ~model ~dataset ~ids))
 
 (* ---- lifecycle ---- *)
 
 let start cfg =
   if cfg.shards = [] then invalid_arg "Router.start: no shards" ;
-  if cfg.handlers < 1 then invalid_arg "Router.start: handlers < 1" ;
   if cfg.block < 1 then invalid_arg "Router.start: block < 1" ;
   if cfg.eject_after < 1 then invalid_arg "Router.start: eject_after < 1" ;
   if cfg.rejoin_after < 1 then invalid_arg "Router.start: rejoin_after < 1" ;
   if cfg.probe_timeout <= 0.0 then invalid_arg "Router.start: probe_timeout <= 0" ;
   let metrics = Metrics.create () in
-  let listener = Listener.create ~name:"router" ~metrics cfg.listen in
+  let listener = Listener.create ~metrics cfg.listen in
   let started = now () in
   let t =
     { cfg;
@@ -735,10 +729,12 @@ let start cfg =
                 ms_oks = 0;
                 ms_ewma = 0.0;
                 ms_probes = 0;
-                ms_ejects = 0
+                ms_ejects = 0;
+                ms_idle = []
               } ))
           cfg.shards;
       mem_m = Analysis.Sync.create ~name:"cluster.router.membership" ();
+      idle_m = Analysis.Sync.create ~name:"cluster.router.idle" ();
       ring = Ring.create ~vnodes:cfg.vnodes (List.map fst cfg.shards);
       listener;
       state_m = Analysis.Sync.create ~name:"cluster.router.state" ();
@@ -754,7 +750,7 @@ let start cfg =
       started
     }
   in
-  Listener.start listener ~handlers:cfg.handlers (handler t) ;
+  Listener.start listener (handle_request t) ;
   if cfg.probe_interval > 0.0 then t.prober_thread <- Some (Thread.create prober t) ;
   t
 
@@ -766,7 +762,9 @@ let stop t =
   request_stop t ;
   Option.iter Thread.join t.prober_thread ;
   t.prober_thread <- None ;
-  Listener.stop t.listener
+  Listener.stop t.listener ;
+  (* no thread forwards any more *)
+  List.iter (fun (_, m) -> List.iter Client.close m.ms_idle) t.members
 
 let cluster_summary t =
   count t (fun () ->
@@ -782,9 +780,9 @@ let run cfg =
   let stop_signal _ = request_stop t in
   let old_int = Sys.signal Sys.sigint (Sys.Signal_handle stop_signal) in
   let old_term = Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal) in
-  Fmt.pr "morpheus route: listening on %s over %d shards (%d handlers, %d vnodes)@."
+  Fmt.pr "morpheus route: listening on %s over %d shards (%d vnodes)@."
     (Endpoint.to_string (endpoint t))
-    (List.length cfg.shards) cfg.handlers cfg.vnodes ;
+    (List.length cfg.shards) cfg.vnodes ;
   List.iter (fun (n, e) -> Fmt.pr "morpheus route:   shard %s at %s@." n e) cfg.shards ;
   wait t ;
   stop t ;

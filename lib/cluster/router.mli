@@ -18,13 +18,15 @@
     over to the next distinct shard in ring order (counted as a
     failover) and the reply is still bitwise-identical, which is what
     the chaos suite asserts while SIGKILLing shard processes
-    mid-storm. Forwarding connections are cached per handler thread
-    and kept alive across requests ({!Metrics.record_conn_reused}).
+    mid-storm. Forwarding connections are kept alive across requests
+    in one idle set per shard: a forward takes one (or opens one) and
+    hands it back once the shard has answered
+    ({!Metrics.record_conn_reused}), so shard connections scale with
+    forwards in flight, not with open client connections.
 
-    Threading: the {!Morpheus_serve.Listener}'s accept thread and
-    [handlers] connection-handler threads (shared with the server: a
-    crashed handler closes its connection, counts a restart, and goes
-    back to the pool with a fresh shard-connection cache), plus the
+    Threading: the {!Morpheus_serve.Listener}'s accept thread and one
+    thread per open client connection (shared with the server: a
+    crashed connection is closed and counts a restart), plus the
     prober thread; no supervisor thread.
 
     Control plane: a prober thread health-checks every shard each
@@ -55,7 +57,6 @@ type config = {
   block : int;
       (** ids per routing block: id [i] of a dataset routes by block
           [i / block], so runs of nearby ids stay on one shard *)
-  handlers : int;  (** connection-handler threads *)
   breaker_threshold : int;
       (** consecutive forward failures before a shard's circuit opens *)
   breaker_cooldown : float;  (** seconds an open shard circuit rests *)
@@ -79,9 +80,9 @@ type config = {
 }
 
 val default_config : listen:string -> shards:(string * string) list -> config
-(** vnodes {!Ring.default_vnodes}, block 64, handlers 4, breaker
-    threshold 3 / cooldown 1s, probe every 250ms with a 1s probe
-    timeout, eject after 3 / rejoin after 2 probes. *)
+(** vnodes {!Ring.default_vnodes}, block 64, breaker threshold 3 /
+    cooldown 1s, probe every 250ms with a 1s probe timeout, eject
+    after 3 / rejoin after 2 probes. *)
 
 val routed_op_names : string list
 (** The protocol ops the router forwards to shards (the rest are
@@ -93,7 +94,7 @@ val routed_op_names : string list
 type t
 
 val start : config -> t
-(** Bind and start handler threads (plus the prober when
+(** Bind and start the listener (plus the prober when
     [probe_interval > 0]). Raises [Unix.Unix_error] if the endpoint
     cannot be bound, [Invalid_argument] on an empty shard list or
     nonsensical config. *)

@@ -1,12 +1,13 @@
 (* The one connection path of the serving tier, shared by Server and
    the cluster router:
 
-     accept thread: select (100ms, stop-aware) → accept → queue
-     handler thread: dequeue → read frame → decode → handle → write
-       reply, until EOF, a stop, an oversized frame or a failed write
+     accept thread: select (100ms, stop-aware) → accept → a thread of
+       its own for the connection, or [overloaded] past [max_conns]
+     connection thread: read frame → decode → handle → write reply,
+       until EOF, a stop, an oversized frame or a failed write
 
-   The two callers differ only in the [handle] closure each handler
-   thread gets from its factory. *)
+   The two callers differ only in the [handle] closure they start the
+   listener with. *)
 
 (* ---- line framing ---- *)
 
@@ -81,38 +82,36 @@ let rec next_frame ?max r =
 
 (* ---- the listener ---- *)
 
-type handler = {
-  handle : arrived:float -> Protocol.request -> Json.t;
-  close : unit -> unit;
-}
+(* Each open connection holds one thread and one descriptor, idle or
+   not; past this many the accept thread refuses with [overloaded]. *)
+let max_conns = 256
 
 type t = {
-  name : string;
   metrics : Metrics.t;
   listen_fd : Unix.file_descr;
   bound : Endpoint.t;
-  (* accepted connections awaiting a handler *)
-  conns : Unix.file_descr Queue.t;
+  (* open connections: each leaves before its descriptor is closed, so
+     the stop sweep never shuts down a reused descriptor number *)
+  conns : (Unix.file_descr, unit) Hashtbl.t;
   conn_m : Analysis.Sync.t;
-  conn_cv : Analysis.Sync.cond;
+  conn_cv : Analysis.Sync.cond;  (* a connection left [conns] *)
   mutable stopping : bool;
-  mutable threads : Thread.t list;
+  mutable acceptor : Thread.t option;
 }
 
-let create ~name ~metrics socket =
+let create ~metrics socket =
   (* a dead peer must surface as a write error, not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()) ;
   let ep = Endpoint.of_string socket in
   let listen_fd = Endpoint.listen ep in
-  { name;
-    metrics;
+  { metrics;
     listen_fd;
     bound = Endpoint.bound_endpoint ep listen_fd;
-    conns = Queue.create ();
+    conns = Hashtbl.create 64;
     conn_m = Analysis.Sync.create ~name:"serve.listener.conns" ();
     conn_cv = Analysis.Sync.condition ();
     stopping = false;
-    threads = []
+    acceptor = None
   }
 
 let endpoint l = l.bound
@@ -120,33 +119,20 @@ let stopping l = l.stopping
 
 (* A signal handler runs at an allocation point of whichever thread
    holds the runtime — possibly one inside [conn_m] — so a stop request
-   takes no lock: it sets the flag, and the threads that poll it (the
-   accept loop, every connection read, [wait]) act on it within 100ms.
-   Idle handler threads are woken by the accept loop on its way out,
-   or at once by [stop]. *)
+   takes no lock and touches no connection: it sets the flag, and the
+   accept loop and [wait] act on it within 100ms. The accept thread,
+   on its way out, ends every blocked connection read. *)
 let request_stop l = l.stopping <- true
-
-let wake_handlers l =
-  Analysis.Sync.lock l.conn_m ;
-  Analysis.Sync.broadcast l.conn_cv ;
-  Analysis.Sync.unlock l.conn_m
 
 let wait l =
   while not l.stopping do
     Thread.delay 0.05
   done
 
-(* A connection's byte source: wakes every 100ms to honor a stop; a
-   reset peer or an injected read fault reads as EOF. *)
-let conn_read l fd buf off len =
-  let rec go () =
-    if l.stopping then 0
-    else
-      match Unix.select [ fd ] [] [] 0.1 with
-      | [], _, _ -> go ()
-      | _ -> Endpoint.read fd buf off len
-  in
-  try go () with
+(* A connection's byte source: a reset peer or an injected read fault
+   reads as EOF. *)
+let conn_read fd buf off len =
+  try Endpoint.read fd buf off len with
   | Unix.Unix_error ((EBADF | ECONNRESET | EPIPE), _, _) | Fault.Injected _ -> 0
 
 (* SIGPIPE is ignored, so a dead peer surfaces here as EPIPE → [false].
@@ -168,7 +154,7 @@ let bad_request l message =
   Metrics.record_error l.metrics ~code:"bad_request" ;
   Protocol.error ~code:"bad_request" ~message
 
-let respond l h line =
+let respond l handle line =
   (* deadline admission counts from the moment the frame is complete *)
   let arrived = Clock.wall () in
   match Result.bind (Json.of_string line) Protocol.request_of_json with
@@ -176,103 +162,113 @@ let respond l h line =
   | Ok req -> (
     (* a failing handler answers "internal"; only an injected crash
        takes the connection down *)
-    match h.handle ~arrived req with
+    match handle ~arrived req with
     | response -> response
     | exception (Fault.Injected _ as e) -> raise e
     | exception e ->
       Metrics.record_error l.metrics ~code:"internal" ;
       Protocol.error ~code:"internal" ~message:(Printexc.to_string e))
 
-let serve_connection l h fd =
-  let r = lines (conn_read l fd) in
+let serve_connection l handle fd =
+  let r = lines (conn_read fd) in
   let rec loop () =
-    match next_frame ~max:max_frame r with
-    | Eof -> ()
-    | Oversized ->
-      (* structured refusal, then hang up: the rest of the stream is
-         the same runaway frame *)
-      ignore
-        (reply l fd
-           (bad_request l
-              (Printf.sprintf "frame too large (limit %d bytes)" max_frame)))
-    | Frame line -> if reply l fd (respond l h line) then loop ()
+    (* after a stop, the frame in hand is answered and no other *)
+    if not l.stopping then
+      match next_frame ~max:max_frame r with
+      | Eof -> ()
+      | Oversized ->
+        (* structured refusal, then hang up: the rest of the stream is
+           the same runaway frame *)
+        ignore
+          (reply l fd
+             (bad_request l
+                (Printf.sprintf "frame too large (limit %d bytes)" max_frame)))
+      | Frame line -> if reply l fd (respond l handle line) then loop ()
   in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Fault.point "listener.handler" ;
-      loop ())
+  Fault.point "listener.handler" ;
+  loop ()
 
-let accept_loop l =
+let leave l fd =
+  Analysis.Sync.with_lock l.conn_m (fun () ->
+      Hashtbl.remove l.conns fd ;
+      Analysis.Sync.broadcast l.conn_cv)
+
+(* A connection's own thread. Anything escaping the connection (an
+   injected crash) closes it and counts as a restart; the thread ends
+   either way. *)
+let connection l handle fd =
+  (try serve_connection l handle fd
+   with _ -> Metrics.record_restart l.metrics) ;
+  leave l fd ;
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let refuse l fd =
+  let message = Printf.sprintf "connection limit (%d) reached" max_conns in
+  Metrics.record_error l.metrics ~code:"overloaded" ;
+  ignore (reply l fd (Protocol.error ~code:"overloaded" ~message)) ;
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
+let admit l handle fd =
+  let room =
+    Analysis.Sync.with_lock l.conn_m (fun () ->
+        let room = Hashtbl.length l.conns < max_conns in
+        if room then Hashtbl.replace l.conns fd () ;
+        room)
+  in
+  if not room then refuse l fd
+  else
+    match Thread.create (connection l handle) fd with
+    | _ -> ()
+    | exception _ ->
+      leave l fd ;
+      refuse l fd
+
+(* On the accept thread's way out: end every blocked connection read.
+   Only the receive side is shut, so a request in flight still gets
+   its reply. *)
+let sweep l =
+  Analysis.Sync.with_lock l.conn_m (fun () ->
+      Hashtbl.iter
+        (fun fd () ->
+          try Unix.shutdown fd SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
+        l.conns)
+
+let accept_loop l handle =
   let rec loop () =
-    if l.stopping then wake_handlers l
-    else begin
+    if not l.stopping then
       match Unix.select [ l.listen_fd ] [] [] 0.1 with
       | [], _, _ -> loop ()
       | _ -> (
         match Endpoint.accept l.listen_fd with
         | fd, _ ->
-          Analysis.Sync.lock l.conn_m ;
-          Queue.push fd l.conns ;
-          Analysis.Sync.signal l.conn_cv ;
-          Analysis.Sync.unlock l.conn_m ;
+          admit l handle fd ;
           loop ()
         | exception Unix.Unix_error ((EBADF | EINVAL), _, _) -> ()
+        | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+          (* out of descriptors: the pending connection keeps the
+             socket readable, so retrying at once would spin *)
+          Thread.delay 0.1 ;
+          loop ()
         | exception Unix.Unix_error _ -> loop ()
         (* injected accept fault: the pending connection stays in the
            kernel backlog and is retried on the next select round — a
            delayed accept, never a lost connection *)
         | exception Fault.Injected _ -> loop ())
+      | exception Unix.Unix_error (EINTR, _, _) -> loop ()
       | exception Unix.Unix_error _ -> ()
-    end
   in
-  loop ()
+  loop () ;
+  sweep l
 
-let next_conn l =
-  Analysis.Sync.lock l.conn_m ;
-  while Queue.is_empty l.conns && not l.stopping do
-    Analysis.Sync.wait l.conn_cv l.conn_m
-  done ;
-  let fd = Queue.take_opt l.conns in
-  Analysis.Sync.unlock l.conn_m ;
-  fd
-
-(* Anything escaping a connection closes it (serve_connection's
-   finally) and counts as a restart; the thread carries on at once
-   with a fresh handler, since the crashed one may have been left
-   mid-request. *)
-let handler_loop l make =
-  let rec loop h =
-    match next_conn l with
-    | None -> h.close ()
-    | Some fd -> (
-      match serve_connection l h fd with
-      | () -> loop h
-      | exception _ ->
-        Metrics.record_restart l.metrics ;
-        h.close () ;
-        loop (make ()))
-  in
-  loop (make ())
-
-let start l ~handlers make =
-  l.threads <-
-    Thread.create accept_loop l
-    :: List.init handlers (fun _ -> Thread.create (handler_loop l) make)
+let start l handle = l.acceptor <- Some (Thread.create (accept_loop l) handle)
 
 let stop l =
   request_stop l ;
-  wake_handlers l ;
-  List.iter Thread.join l.threads ;
-  l.threads <- [] ;
-  (* answer connections no handler reached instead of hanging up *)
-  Queue.iter
-    (fun fd ->
-      ignore
-        (reply l fd
-           (Protocol.error ~code:"rejected" ~message:(l.name ^ " shutting down"))) ;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    l.conns ;
-  Queue.clear l.conns ;
+  Option.iter Thread.join l.acceptor ;
+  l.acceptor <- None ;
+  Analysis.Sync.with_lock l.conn_m (fun () ->
+      while Hashtbl.length l.conns > 0 do
+        Analysis.Sync.wait l.conn_cv l.conn_m
+      done) ;
   (try Unix.close l.listen_fd with Unix.Unix_error _ -> ()) ;
   Endpoint.cleanup l.bound

@@ -1,17 +1,16 @@
 (** The connection listener shared by {!Server} and the cluster router:
     everything from [accept] to the reply write. It binds the endpoint,
-    runs one accept thread and a bounded pool of handler threads,
-    frames requests as newline-terminated JSON (refusing frames over
-    {!max_frame}), decodes them with {!Protocol}, answers malformed
-    ones with [bad_request] and handler exceptions with [internal],
-    writes the reply, and stops cleanly.
+    runs one accept thread and one thread per open connection (up to
+    {!max_conns}), frames requests as newline-terminated JSON (refusing
+    frames over {!max_frame}), decodes them with {!Protocol}, answers
+    malformed ones with [bad_request] and handler exceptions with
+    [internal], writes the reply, and stops cleanly.
 
-    A handler thread survives anything a connection throws: an injected
-    fault escaping the handler (the [listener.handler] drill point, or
-    one raised inside [handle]) closes that connection — its client
-    sees a transport error — is counted in {!Metrics.record_restart},
-    and the thread goes straight back to the pool with a fresh
-    {!handler}. *)
+    An idle connection costs its own thread and descriptor and delays
+    no other connection. An injected fault escaping the handler (the
+    [listener.handler] drill point, or one raised inside [handle])
+    closes only that connection — its client sees a transport error —
+    and is counted in {!Metrics.record_restart}. *)
 
 (** {1 Line framing} *)
 
@@ -38,29 +37,27 @@ val next_frame : ?max:int -> lines -> frame
 
 (** {1 Serving} *)
 
-type handler = {
-  handle : arrived:float -> Protocol.request -> Json.t;
-      (** answer one decoded request; [arrived] is the wall-clock
-          instant its frame was complete *)
-  close : unit -> unit;
-      (** release per-thread state; called when the thread exits and
-          when a crash replaces this handler *)
-}
+val max_conns : int
+(** 256: the most connections open at once. The accept thread answers
+    one more with [overloaded] and closes it, as it does a connection
+    whose thread cannot be created. *)
 
 type t
 
-val create : name:string -> metrics:Metrics.t -> string -> t
-(** [create ~name ~metrics socket] binds [socket] (an
-    {!Endpoint.of_string} string) and ignores SIGPIPE; no thread runs
-    yet. [name] ends the refusal sent to queued connections at stop
-    (["<name> shutting down"]); [metrics] receives the framing, write
-    and restart accounting. Raises [Unix.Unix_error] if the endpoint
-    cannot be bound. *)
+val create : metrics:Metrics.t -> string -> t
+(** [create ~metrics socket] binds [socket] (an {!Endpoint.of_string}
+    string) and ignores SIGPIPE; no thread runs yet. [metrics] receives
+    the framing, write, refusal and restart accounting. Raises
+    [Unix.Unix_error] if the endpoint cannot be bound. *)
 
-val start : t -> handlers:int -> (unit -> handler) -> unit
-(** Start the accept thread and [handlers] handler threads; each calls
-    the factory once for its own {!handler}, and again after a
-    crash. *)
+val start : t -> (arrived:float -> Protocol.request -> Json.t) -> unit
+(** [start l handle]: start the accept thread. Every accepted
+    connection gets a thread of its own, which blocks in a plain read
+    and calls [handle ~arrived req] for each decoded request, [arrived]
+    being the wall-clock instant its frame was complete. [handle] runs
+    on many threads at once. When the process is out of descriptors
+    (EMFILE, ENFILE), the accept thread waits 100ms before it tries
+    again. *)
 
 val endpoint : t -> Endpoint.t
 (** The endpoint actually bound ([host:0] resolved). *)
@@ -68,14 +65,17 @@ val endpoint : t -> Endpoint.t
 val stopping : t -> bool
 
 val request_stop : t -> unit
-(** Ask for a stop: the accept loop, connection reads and {!wait} see
-    it within 100ms. Takes no lock, so it is safe from any thread,
-    including a signal handler or a handler serving [shutdown];
-    idempotent. *)
+(** Ask for a stop: the accept loop and {!wait} see it within 100ms.
+    On its way out the accept thread shuts the receive side of every
+    open connection, so a blocked read ends at once while a request in
+    flight still gets its reply. Takes no lock and touches no
+    connection, so it is safe from any thread, including a signal
+    handler or a connection serving [shutdown]; idempotent. *)
 
 val wait : t -> unit
 (** Block until a stop has been requested. *)
 
 val stop : t -> unit
-(** {!request_stop}, join the threads, answer connections still queued
-    with [rejected], close the socket and remove a socket file. *)
+(** {!request_stop}, join the accept thread, wait until every
+    connection has closed, then close the socket and remove a socket
+    file. *)

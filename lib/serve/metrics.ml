@@ -75,7 +75,7 @@ type t = {
   (* robustness counters *)
   mutable retries : int;  (* client-side retry attempts *)
   mutable sheds : int;  (* requests shed at the queue bound *)
-  mutable restarts : int;  (* crashed handler threads restarted *)
+  mutable restarts : int;  (* connections closed by a handler crash *)
   mutable write_errors : int;  (* response writes to dead peers *)
   mutable conns_reused : int;  (* retry attempts on a kept-alive connection *)
   mutable conns_fresh : int;  (* retry attempts that opened a new connection *)

@@ -1,7 +1,7 @@
 (** Serving metrics: request counters, log-bucketed latency histograms
     (p50/p95/p99), the micro-batch size distribution, and cache/shed
-    counters. All recording paths are mutex-protected (handler threads
-    and the batching thread write concurrently) and O(1). *)
+    counters. All recording paths are mutex-protected (connection
+    threads and the batching thread write concurrently) and O(1). *)
 
 type t
 
@@ -29,8 +29,9 @@ val record_shed : t -> unit
 (** One request shed at the queue bound. *)
 
 val record_restart : t -> unit
-(** One handler crash: its connection was closed and the thread went
-    back to the pool with a fresh handler ({!Listener}). *)
+(** One handler crash: an injected fault escaped a connection's
+    handler, so that connection was closed and its thread ended
+    ({!Listener}). *)
 
 val record_write_error : t -> unit
 (** One response write that failed (peer gone mid-write). *)

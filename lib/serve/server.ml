@@ -1,12 +1,12 @@
 (* The scoring server. Data path of a score request:
 
-     Listener handler thread: read frame → parse → [handle_request]:
+     Listener connection thread: read frame → parse → [handle_request]:
        resolve model (registry) → validate shapes → Batcher.submit
        (blocks)
      batching thread: coalesce same-(model, dataset) requests →
        one factorized select_rows + lmm (or one dense gemm) →
        split results per request
-     Listener handler thread: render response frame → write
+     Listener connection thread: render response frame → write
 
    The batching thread is the only thread that runs LA kernels, so the
    La.Pool single-caller contract holds; parallelism inside a batch
@@ -21,7 +21,6 @@ type config = {
   max_batch : int;
   max_wait : float;
   queue_bound : int;
-  handlers : int;
   cache_capacity : int;
   default_deadline_ms : float option;
   breaker_threshold : int;
@@ -35,7 +34,6 @@ let default_config ~registry ~socket =
     max_batch = 64;
     max_wait = 2e-3;
     queue_bound = 1024;
-    handlers = 4;
     cache_capacity = 4;
     default_deadline_ms = None;
     breaker_threshold = 5;
@@ -576,7 +574,6 @@ let handle_request t req =
 (* ---- lifecycle ---- *)
 
 let start cfg =
-  if cfg.handlers < 1 then invalid_arg "Server.start: handlers < 1" ;
   if cfg.cache_capacity < 1 then invalid_arg "Server.start: cache_capacity < 1" ;
   (* quarantine crash litter before anything reads the registry *)
   let recovered = List.length (Registry.recover ~dir:cfg.registry) in
@@ -584,7 +581,7 @@ let start cfg =
   let t =
     { cfg;
       metrics;
-      listener = Listener.create ~name:"server" ~metrics cfg.socket;
+      listener = Listener.create ~metrics cfg.socket;
       models = Hashtbl.create 8;
       model_m = Analysis.Sync.create ~name:"serve.server.models" ();
       datasets =
@@ -607,10 +604,7 @@ let start cfg =
       (Batcher.create ~max_batch:cfg.max_batch ~max_wait:cfg.max_wait
          ~queue_bound:cfg.queue_bound ~metrics:t.metrics ~size:payload_rows
          ~exec:(exec_batch t) ()) ;
-  Listener.start t.listener ~handlers:cfg.handlers (fun () ->
-      { Listener.handle = (fun ~arrived:_ req -> handle_request t req);
-        close = ignore
-      }) ;
+  Listener.start t.listener (fun ~arrived:_ req -> handle_request t req) ;
   t.drain_thread <- Some (Thread.create drain_watcher t) ;
   t
 
@@ -622,8 +616,8 @@ let stop t =
   request_stop t ;
   Option.iter Thread.join t.drain_thread ;
   t.drain_thread <- None ;
-  (* the handlers are joined before the batcher stops: a handler blocked
-     in Batcher.submit still gets its answer *)
+  (* the connections close before the batcher stops: a connection
+     blocked in Batcher.submit still gets its answer *)
   Listener.stop t.listener ;
   match t.batcher with Some b -> Batcher.stop b | None -> ()
 
@@ -639,10 +633,10 @@ let run cfg =
       Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> request_drain t))
     else Sys.signal Sys.sigterm (Sys.Signal_handle stop_signal)
   in
-  Fmt.pr "morpheus serve: registry %s, listening on %s (%d handlers, batch ≤ %d / %gms)@."
+  Fmt.pr "morpheus serve: registry %s, listening on %s (batch ≤ %d / %gms)@."
     cfg.registry
     (Endpoint.to_string (endpoint t))
-    cfg.handlers cfg.max_batch (1e3 *. cfg.max_wait) ;
+    cfg.max_batch (1e3 *. cfg.max_wait) ;
   if t.recovered > 0 then
     Fmt.pr "morpheus serve: quarantined %d crash-litter entries from the registry@."
       t.recovered ;

@@ -2,18 +2,18 @@
     domain socket or TCP ({!Endpoint}) in front of the model registry
     and the micro-batching scoring engine.
 
-    Threading: the {!Listener}'s accept thread and [handlers]
-    connection-handler threads, one drain-watcher thread, and one
-    batching thread; there is no supervisor thread. Handler threads
-    only parse, validate, and block in {!Batcher.submit}; every LA
+    Threading: the {!Listener}'s accept thread and one thread per open
+    connection (up to {!Listener.max_conns}), one drain-watcher thread,
+    and one batching thread; there is no supervisor thread. Connection
+    threads only parse, validate, and block in {!Batcher.submit}; every LA
     kernel runs on the batching thread, so the {!La.Pool}
     single-caller contract holds and the kernels may still parallelize
     internally over domains. Overload shedding and per-request
     deadlines are enforced by the batcher; a shed or expired request
     gets an error response, never silence.
 
-    Self-healing: a handler that crashes closes its connection and goes
-    straight back to the pool (counted in {!Metrics.restarts}); each
+    Self-healing: a connection whose handler crashes is closed, and no
+    other connection notices (counted in {!Metrics.restarts}); each
     server-side dataset gets a {!Breaker} so repeated load failures fail fast
     instead of hammering the filesystem; {!start} runs
     {!Registry.recover} to quarantine crash litter; and the [health]
@@ -30,7 +30,6 @@ type config = {
   max_batch : int;  (** micro-batch close threshold (requests) *)
   max_wait : float;  (** micro-batch max linger, seconds *)
   queue_bound : int;  (** pending requests before shedding *)
-  handlers : int;  (** connection-handler threads *)
   cache_capacity : int;  (** dataset LRU entries *)
   default_deadline_ms : float option;
       (** applied to requests that carry no deadline *)
@@ -46,9 +45,9 @@ type config = {
 }
 
 val default_config : registry:string -> socket:string -> config
-(** max_batch 64, max_wait 2ms, queue_bound 1024, handlers 4,
-    cache_capacity 4, no default deadline, breaker threshold 5 /
-    cooldown 1s, no drain-on-term. *)
+(** max_batch 64, max_wait 2ms, queue_bound 1024, cache_capacity 4, no
+    default deadline, breaker threshold 5 / cooldown 1s, no
+    drain-on-term. *)
 
 type t
 
@@ -59,7 +58,7 @@ val start : config -> t
 
 val request_stop : t -> unit
 (** Begin a graceful shutdown (idempotent, callable from any thread —
-    including a signal handler or a handler thread serving the
+    including a signal handler or a connection thread serving the
     [shutdown] op): stop accepting, let in-flight requests finish. *)
 
 val request_drain : t -> unit
@@ -78,7 +77,8 @@ val wait : t -> unit
 (** Block until a stop has been requested. *)
 
 val stop : t -> unit
-(** {!request_stop} + join all threads + remove the socket file. *)
+(** {!request_stop}, wait for every connection to close and the other
+    threads to end, remove the socket file. *)
 
 val stats : t -> Json.t
 (** The [stats] payload: metrics snapshot + server section (uptime,

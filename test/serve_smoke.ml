@@ -40,8 +40,7 @@ let () =
   let server =
     Server.start
       { (Server.default_config ~registry:reg ~socket) with
-        Server.handlers = 2;
-        max_wait = 1e-3
+        Server.max_wait = 1e-3
       }
   in
   Fun.protect ~finally:(fun () -> Server.stop server)

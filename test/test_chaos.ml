@@ -489,10 +489,7 @@ let serve_chaos seed () =
   let socket = Filename.concat root "sock" in
   let server =
     Server.start
-      { (Server.default_config ~registry:reg ~socket) with
-        Server.handlers = 2;
-        max_wait = 1e-3
-      }
+      { (Server.default_config ~registry:reg ~socket) with Server.max_wait = 1e-3 }
   in
   Fun.protect
     ~finally:(fun () ->
@@ -566,7 +563,7 @@ let serve_chaos seed () =
       | Ok _ -> ()
       | Error (code, msg) -> Alcotest.failf "ping after chaos: [%s] %s" code msg)
 
-(* ---- handler supervision: a crash costs one connection, not a thread ---- *)
+(* ---- handler supervision: a crash costs one connection, no other ---- *)
 
 (* A supervised endpoint: its address, the metrics its listener
    counts restarts in, and how to stop it. *)
@@ -575,10 +572,7 @@ type supervised = { addr : string; metrics : Metrics.t; close : unit -> unit }
 let supervised_server root =
   let _, _, _, _, reg, _ = make_serving root in
   let socket = Filename.concat root "sock" in
-  let server =
-    Server.start
-      { (Server.default_config ~registry:reg ~socket) with Server.handlers = 2 }
-  in
+  let server = Server.start (Server.default_config ~registry:reg ~socket) in
   { addr = socket; metrics = Server.metrics server; close = (fun () -> Server.stop server) }
 
 (* The router in front of a server; no prober, so the only connections
@@ -589,7 +583,6 @@ let supervised_router root =
     Morpheus_cluster.Router.(
       start
         { (default_config ~listen:"127.0.0.1:0" ~shards:[ ("s0", shard.addr) ]) with
-          handlers = 2;
           probe_interval = 0.0
         })
   in
@@ -620,11 +613,12 @@ let test_supervision start () =
       Alcotest.failf "connection %d: wrong error [%s] %s" i code msg
   done ;
   Fault.disable () ;
-  (* the handler threads went straight back to the pool: service
+  (* each crash ended only its own connection's thread: service
      resumes at once (through a router, health also reaches the shard) *)
   (match Client.with_client ~socket (fun c -> Client.call c Protocol.Ping) with
   | Ok _ -> ()
-  | Error (code, msg) -> Alcotest.failf "no handler came back: [%s] %s" code msg) ;
+  | Error (code, msg) ->
+    Alcotest.failf "no service after the drill: [%s] %s" code msg) ;
   (match Client.with_client ~socket (fun c -> Client.call c Protocol.Health) with
   | Ok _ -> ()
   | Error (code, msg) -> Alcotest.failf "health after the drill: [%s] %s" code msg) ;
@@ -651,8 +645,7 @@ let test_server_circuit_breaker () =
   let server =
     Server.start
       { (Server.default_config ~registry:reg ~socket) with
-        Server.handlers = 1;
-        max_wait = 1e-3;
+        Server.max_wait = 1e-3;
         breaker_threshold = 3;
         breaker_cooldown = 30.0 (* long: stays open for the test *)
       }

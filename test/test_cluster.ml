@@ -241,8 +241,7 @@ let make_data root =
 let start_shard reg =
   Server.start
     { (Server.default_config ~registry:reg ~socket:"127.0.0.1:0") with
-      Server.handlers = 2;
-      max_wait = 1e-3
+      Server.max_wait = 1e-3
     }
 
 let shard_addr s = Endpoint.to_string (Server.endpoint s)
@@ -263,7 +262,6 @@ let with_cluster ?(n = 3) ~root f =
                 (fun i s -> (Printf.sprintf "shard%d" i, shard_addr s))
                 shards)) with
         Router.block = 4;
-        handlers = 2;
         breaker_threshold = 2;
         breaker_cooldown = 0.2
       }
@@ -416,9 +414,7 @@ let spawn_shard bin ~reg ~port =
   @@ fun () ->
   let pid =
     Unix.create_process bin
-      [| bin; "serve"; "--registry"; reg; "--listen"; addr; "--handlers"; "2";
-         "--max-wait-ms"; "1"
-      |]
+      [| bin; "serve"; "--registry"; reg; "--listen"; addr; "--max-wait-ms"; "1" |]
       Unix.stdin devnull devnull
   in
   (pid, addr)
@@ -465,7 +461,6 @@ let test_sigkill_chaos () =
                   (fun i (_, addr) -> (Printf.sprintf "shard%d" i, addr))
                   procs)) with
           Router.block = 4;
-          handlers = 2;
           breaker_threshold = 2;
           breaker_cooldown = 0.1
         }

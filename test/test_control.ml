@@ -6,12 +6,15 @@
    shard that never answers ends when the budget does), the
    drain/undrain lifecycle on both the server and the router, active
    health probing with auto-eject and rejoin, linear-time scatter
-   reassembly, bounded health fan-out over a wedged shard, and the
+   reassembly, bounded health fan-out over a wedged shard, idle
+   connections that hold no service, the connection cap and the stop
+   sweep, shard connections shared across one-shot clients, and the
    stale-connection retry.
    When MORPHEUS_BIN points at the CLI binary, a transport-fault storm
    over real shard processes (SIGKILL mid-storm, restart, rejoin,
-   drain with zero failures) and CLI usage-error checks ride along;
-   without it those cases skip. *)
+   drain with zero failures), the accept backoff of a server out of
+   descriptors and CLI usage-error checks ride along; without it those
+   cases skip. *)
 
 open La
 open Sparse
@@ -222,8 +225,7 @@ let start_plain_server () =
   let reg = tmpdir "control_empty_reg" in
   Server.start
     { (Server.default_config ~registry:reg ~socket:"127.0.0.1:0") with
-      Server.handlers = 2;
-      max_wait = 1e-3
+      Server.max_wait = 1e-3
     }
 
 let send_raw fd s =
@@ -569,8 +571,7 @@ let fake_models f = fake_log f f.fk_models
 let router_over ?(probe_interval = 0.05) shards =
   Router.start
     { (Router.default_config ~listen:"127.0.0.1:0" ~shards) with
-      Router.handlers = 2;
-      block = 4;
+      Router.block = 4;
       breaker_threshold = 3;
       breaker_cooldown = 0.2;
       probe_interval;
@@ -1057,6 +1058,97 @@ let test_timeout_not_retried () =
   Alcotest.(check int) "fresh connections" 1 (Metrics.conns_fresh metrics) ;
   Alcotest.(check int) "reused connections" 1 (Metrics.conns_reused metrics)
 
+(* ---- listener: every connection has a thread of its own ---- *)
+
+let connect addr = Endpoint.connect (Endpoint.of_string addr)
+let close_all =
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+
+(* Twice the old default of 4 handler threads sit idle, each holding a
+   connection that sends nothing: a ninth connection is still answered
+   at once. *)
+let test_idle_connections (start : unit -> endpoint) () =
+  let ep = start () in
+  Fun.protect ~finally:ep.close
+  @@ fun () ->
+  let idle = List.init 8 (fun _ -> connect ep.addr) in
+  Fun.protect ~finally:(fun () -> close_all idle)
+  @@ fun () ->
+  let slot = ref None in
+  Fun.protect ~finally:(fun () -> Client.drop slot)
+  @@ fun () ->
+  List.iter
+    (fun (what, req) ->
+      let t0 = Unix.gettimeofday () in
+      (match Client.call_kept ~timeout:1.0 ~socket:ep.addr slot req with
+      | Ok _ -> ()
+      | Error (c, m) ->
+        Alcotest.failf "%s behind 8 idle connections: [%s] %s" what c m) ;
+      let took = Unix.gettimeofday () -. t0 in
+      if took > 1.0 then Alcotest.failf "%s answered after %.2fs" what took)
+    [ ("health", Protocol.Health); ("ping", Protocol.Ping) ]
+
+(* At [max_conns] open connections the next one is refused with
+   [overloaded]; one closing makes room; and a stop ends the idle rest
+   at once. *)
+let test_connection_cap () =
+  let server = start_plain_server () in
+  let addr = Endpoint.to_string (Server.endpoint server) in
+  let stopped = ref false in
+  Fun.protect ~finally:(fun () -> if not !stopped then Server.stop server)
+  @@ fun () ->
+  let idle = ref (List.init Listener.max_conns (fun _ -> connect addr)) in
+  Fun.protect ~finally:(fun () -> close_all !idle)
+  @@ fun () ->
+  (* the accept thread takes connections in order: every earlier one
+     is admitted before this one *)
+  let over = connect addr in
+  let refusal =
+    Fun.protect ~finally:(fun () -> Unix.close over) (fun () -> read_response over)
+  in
+  (match refusal with
+  | Some resp when contains ~needle:"overloaded" resp -> ()
+  | Some resp -> Alcotest.failf "connection over the cap got %S" resp
+  | None -> Alcotest.fail "connection over the cap got no answer") ;
+  (match !idle with
+  | fd :: rest ->
+    Unix.close fd ;
+    idle := rest
+  | [] -> ()) ;
+  await ~timeout:2.0 ~what:"a health after one connection closed" (fun () ->
+      match wire_within ~timeout:1.0 addr Protocol.Health with
+      | Ok _ -> true
+      | Error _ -> false) ;
+  let t0 = Unix.gettimeofday () in
+  Server.stop server ;
+  stopped := true ;
+  let took = Unix.gettimeofday () -. t0 in
+  if took > 1.0 then
+    Alcotest.failf "stop took %.2fs over %d idle connections" took
+      (List.length !idle)
+
+(* Shard connections follow forwards in flight, not client connections:
+   one-shot clients arriving one after another share one. *)
+let test_shared_shard_conns () =
+  let shard = start_fake () in
+  Fun.protect ~finally:(fun () -> stop_fake shard)
+  @@ fun () ->
+  let router = router_over ~probe_interval:0.0 [ ("s0", shard.fk_addr) ] in
+  Fun.protect ~finally:(fun () -> Router.stop router)
+  @@ fun () ->
+  let addr = Endpoint.to_string (Router.endpoint router) in
+  List.iter
+    (fun req ->
+      match Client.call_once ~socket:addr req with
+      | Ok _ -> ()
+      | Error (c, m) -> Alcotest.failf "one-shot call: [%s] %s" c m)
+    (List.init 8 (fun _ -> Protocol.Health) @ [ Protocol.Stats ]) ;
+  let metrics = Router.metrics router in
+  Alcotest.(check int) "shard connections opened" 1
+    (Metrics.conns_fresh metrics) ;
+  Alcotest.(check int) "shard connections reused" 8
+    (Metrics.conns_reused metrics)
+
 (* ---- process-level control chaos (MORPHEUS_BIN) ---- *)
 
 let make_data root =
@@ -1083,11 +1175,8 @@ let spawn_shard bin ~reg ~port =
   @@ fun () ->
   let pid =
     Unix.create_process bin
-      (* enough handler slots that the router's cached per-handler
-         connections can't saturate the shard and starve health
-         probes *)
-      [| bin; "serve"; "--registry"; reg; "--listen"; addr; "--handlers"; "6";
-         "--max-wait-ms"; "1"; "--drain-on"; "SIGTERM"
+      [| bin; "serve"; "--registry"; reg; "--listen"; addr; "--max-wait-ms"; "1";
+         "--drain-on"; "SIGTERM"
       |]
       Unix.stdin devnull devnull
   in
@@ -1203,6 +1292,84 @@ let test_control_chaos () =
       (member_in_ring (membership_of addr) "s0") ;
     kill_all Sys.sigterm
 
+(* ---- accept backs off when descriptors run out (MORPHEUS_BIN) ---- *)
+
+(* utime + stime of [pid] in seconds ([None] where /proc/PID/stat is
+   unreadable); the fields count USER_HZ (100) ticks. *)
+let cpu_seconds pid =
+  let path = Printf.sprintf "/proc/%d/stat" pid in
+  match In_channel.with_open_text path In_channel.input_all with
+  | exception Sys_error _ -> None
+  | stat -> (
+    (* the command name in parentheses may hold spaces *)
+    let from = String.rindex stat ')' + 2 in
+    let fields = String.sub stat from (String.length stat - from) in
+    match String.split_on_char ' ' fields with
+    | fields when List.length fields > 12 ->
+      let tick k = float_of_string (List.nth fields k) /. 100.0 in
+      Some (tick 11 +. tick 12)
+    | _ -> None)
+
+(* A server limited to 32 descriptors, under 40 idle connections: the
+   listening socket stays readable while accept fails with EMFILE, and
+   the accept thread must wait instead of spinning. Once descriptors
+   free up it serves again, idle connections and all. *)
+let test_accept_out_of_fds () =
+  match Sys.getenv_opt "MORPHEUS_BIN" with
+  | None | Some "" ->
+    print_endline "accept backoff: skipped (MORPHEUS_BIN not set)"
+  | Some bin -> (
+    let reg = tmpdir "control_emfile_reg" in
+    let addr = Printf.sprintf "127.0.0.1:%d" (free_port ()) in
+    let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Fun.protect ~finally:(fun () -> Unix.close devnull) (fun () ->
+          Unix.create_process "/bin/sh"
+            [| "/bin/sh";
+               "-c";
+               {|ulimit -n 32; exec "$0" serve --registry "$1" --listen "$2"|};
+               bin;
+               reg;
+               addr
+            |]
+            Unix.stdin devnull devnull)
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ()) ;
+        ignore (Unix.waitpid [] pid))
+    @@ fun () ->
+    await_shard_healthy addr ;
+    match cpu_seconds pid with
+    | None ->
+      print_endline "accept backoff: skipped (/proc/PID/stat unreadable)"
+    | Some _ ->
+      let idle = ref (List.init 40 (fun _ -> connect addr)) in
+      Fun.protect ~finally:(fun () -> close_all !idle)
+      @@ fun () ->
+      (* the accept thread has run out of descriptors by now *)
+      Unix.sleepf 0.3 ;
+      let spent () = Option.value ~default:Float.nan (cpu_seconds pid) in
+      let before = spent () in
+      Unix.sleepf 1.0 ;
+      let cpu = spent () -. before in
+      if not (cpu < 0.3) then
+        Alcotest.failf "the server spent %.2fs of CPU in 1s out of descriptors"
+          cpu ;
+      (* the kernel hands out queued connections in order, and those the
+         server could not accept yet are ahead of a new one: close all
+         but the 10 oldest, which stay idle *)
+      let keep = List.filteri (fun i _ -> i < 10) !idle in
+      close_all (List.filteri (fun i _ -> i >= 10) !idle) ;
+      idle := keep ;
+      let t0 = Unix.gettimeofday () in
+      (match wire_within ~timeout:1.0 addr Protocol.Ping with
+      | Ok _ -> ()
+      | Error (c, m) ->
+        Alcotest.failf "ping once descriptors freed: [%s] %s" c m) ;
+      let took = Unix.gettimeofday () -. t0 in
+      if took > 1.0 then Alcotest.failf "ping answered after %.2fs" took)
+
 (* ---- CLI usage errors exit 2, not a backtrace ---- *)
 
 let run_cli bin args =
@@ -1278,6 +1445,17 @@ let () =
             test_health_wedged_shard;
           Alcotest.test_case "prober and health past a full backlog" `Quick
             test_wedged_full_backlog ] );
+      ( "listener",
+        [ Alcotest.test_case "idle connections hold no service" `Quick
+            (test_idle_connections plain_server);
+          Alcotest.test_case "idle connections hold no service, router" `Quick
+            (test_idle_connections routed_fake);
+          Alcotest.test_case "connection cap" `Quick test_connection_cap;
+          Alcotest.test_case "accept backs off out of descriptors" `Quick
+            test_accept_out_of_fds ] );
+      ( "router",
+        [ Alcotest.test_case "one-shot clients share shard connections" `Quick
+            test_shared_shard_conns ] );
       ( "client",
         [ Alcotest.test_case "stale connection retried fresh once" `Quick
             test_stale_retry;
